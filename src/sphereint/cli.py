@@ -8,6 +8,11 @@ single JSON object with a fixed field set:
 
 Keys are always present, null when not applicable.  Exit codes: 0 success,
 1 usage error, 2 domain error, 3 oracle disagreement under --verify.
+Usage errors are refused before any integration runs: a missing, unknown
+or conflicting flag, a flag value out of range (--samples, --count and
+--digits >= 1, --nodes >= 2, --seed and --kmax >= 0, --sigma finite and
+> 0), a --kmax past the series caps, and an unreadable or malformed
+polynomial file.
 """
 
 from __future__ import annotations
@@ -15,19 +20,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import Callable, Optional, Union
 
 from .exactpi import DomainError, PiRational, to_float
 from .fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 from .integrals import (
     SphereDim,
     dirichlet_abs,
-    dirichlet_abs_float,
     dirichlet_signed,
-    mu_power_float,
     mu_power_integral,
     reduction_rhs,
     sphere_volume,
@@ -49,9 +53,28 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token starting like a negative number is a value, not a flag,
+        # so comma lists such as "--alpha -1,0,2" parse
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on bad flags by default; 2 is reserved for domain errors
     def error(self, message):
         raise _UsageError(message)
+
+
+def _bounded(kind, low, strict=False):
+    """argparse type: a finite `kind` value >= low, or > low when strict."""
+    def parse(text):
+        value = kind(text)
+        if not (low < value if strict else low <= value) or value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _number(text: str):
@@ -69,28 +92,17 @@ def _number(text: str):
         )
 
 
-def _number_list(raw):
+def _number_list(raw, missing: str):
+    """Numbers from repeated or comma-separated flags; usage error `missing` if none."""
     out = []
     for item in raw or []:
         for tok in item.split(","):
             tok = tok.strip()
             if tok:
                 out.append(_number(tok))
+    if not out:
+        raise _UsageError(missing)
     return out
-
-
-def _add_verify_args(sub):
-    sub.add_argument("--verify", action="store_true", help="run a brute-force oracle and compare")
-    sub.add_argument("--oracle", choices=("mc", "quad"), default="mc")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis")
-    sub.add_argument("--sigma", type=float, default=3.0, help="MC disagreement threshold")
-
-
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true", help="emit one JSON report object")
-    sub.add_argument("--digits", type=int, default=12, help="significant digits in text output")
 
 
 def build_parser() -> _Parser:
@@ -99,8 +111,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("volume", help="total volume of S^D")
     p.add_argument("--D", type=int, required=True)
-    _add_common(p)
-    _add_verify_args(p)
 
     p = subs.add_parser("dirichlet", help="monomial integral over S^n")
     p.add_argument("--n", type=int, required=True)
@@ -110,41 +120,45 @@ def build_parser() -> _Parser:
     g.add_argument("--signed", action="store_true", help="integrate prod x_j^a_j")
     g.add_argument("--abs", dest="absolute", action="store_true",
                    help="integrate prod |x_j|^a_j")
-    _add_common(p)
-    _add_verify_args(p)
 
     p = subs.add_parser("mu-power", help="polar-radius power integral over S^D")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--alpha", action="append", metavar="A[,A...]")
-    _add_common(p)
-    _add_verify_args(p)
 
     p = subs.add_parser("reduce", help="check the sphere-within-a-sphere reduction")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--alpha", action="append", metavar="A[,A...]")
-    _add_common(p)
 
     p = subs.add_parser("fluid", help="integral of the Lorentz factor power gamma^(D+1)")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--omega", action="append", metavar="W[,W...]",
                    help="one angular velocity per rotation circle")
     p.add_argument("--series", action="store_true", help="also evaluate the truncated series")
-    p.add_argument("--kmax", type=int, default=30, help="series truncation order")
-    _add_common(p)
-    _add_verify_args(p)
+    p.add_argument("--kmax", type=_bounded(int, 0), default=30, help="series truncation order")
 
     p = subs.add_parser("integrate-poly", help="integrate a polynomial file over S^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--file", required=True, help="one monomial per line: coeff e1 ... e_(n+1)")
-    _add_common(p)
-    _add_verify_args(p)
 
     p = subs.add_parser("sample", help="dump uniform samples on S^D")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    _add_common(p)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--count", type=_bounded(int, 1), default=10)
 
+    for name, p in subs.choices.items():
+        p.add_argument("--json", action="store_true", help="emit one JSON report object")
+        p.add_argument("--digits", type=_bounded(int, 1), default=12,
+                       help="significant digits in text output")
+        if name not in _SPECS:
+            continue
+        p.add_argument("--verify", action="store_true", help="run a brute-force oracle and compare")
+        p.add_argument("--oracle", choices=("mc", "quad"), default="mc")
+        p.add_argument("--seed", type=_bounded(int, 0), default=0)
+        p.add_argument("--samples", type=_bounded(int, 1), default=100_000)
+        p.add_argument("--nodes", type=_bounded(int, 2), default=32,
+                       help="quadrature nodes per axis")
+        p.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
+                       help="MC disagreement threshold")
     return parser
 
 
@@ -201,22 +215,6 @@ def _report(operation, inputs, exact=None, decimal=None, oracle_value=None,
     }
 
 
-def _verify(args, decimal, mc_dim, mc_f, quad_f=None, quad_dim=None, quad_scale=1.0):
-    """Run the chosen oracle against the closed value; returns report fields."""
-    if args.oracle == "mc":
-        est = mc_integrate(mc_dim, mc_f, MCConfig(seed=args.seed, samples=args.samples))
-        sigma = _sigma_of(abs(decimal - est.value), est.std_error, decimal)
-        ok = sigma <= args.sigma
-        return est.value, est.std_error, sigma, ok
-    if quad_f is None:
-        raise DomainError("quadrature verification is not available for this operation")
-    est = quad_integrate(quad_dim if quad_dim is not None else mc_dim, quad_f, args.nodes)
-    value = est.value * quad_scale
-    bound = est.error_bound * abs(quad_scale)
-    sigma = abs(decimal - value) / bound
-    return value, bound, sigma, sigma <= 1.0
-
-
 def _emit(args, report, lines, out):
     if args.json:
         out.write(json.dumps(report, sort_keys=True) + "\n")
@@ -235,100 +233,150 @@ def _headline(value, digits: int) -> str:
     return _fmt(float(value), digits)
 
 
-def _cmd_volume(args, out):
-    dim = SphereDim(args.D)
-    exact = sphere_volume(dim)
-    decimal = to_float(exact)
-    inputs = {"D": args.D}
-    lines = [_headline(exact, args.digits)]
-    ov = oe = sig = None
-    status = "ok"
-    if args.verify:
-        inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples, nodes=args.nodes)
-        ov, oe, sig, ok = _verify(
-            args, decimal, dim,
-            lambda b: np.ones(len(b)),
-            quad_f=lambda mus: np.ones(mus.shape[0]),
-        )
-        status = "ok" if ok else "disagree"
-        lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
-                  f"agreement sigma = {sig:.3g}", f"status = {status}"]
-    _emit(args, _report("volume", inputs, exact, decimal, ov, oe, sig, status), lines, out)
-    return 0 if status == "ok" else 3
+@dataclass
+class _Spec:
+    """A closed value and the integrands the oracles check it with.
+
+    quad_f maps polar radii to values; without it --oracle quad is refused.
+    mc_f maps a PointBatch and defaults to quad_f on its radii.  quad_dim
+    and quad_scale lift quad_f onto another sphere.  refusal says why
+    --verify cannot run.  second is a (value, error, sigma, lines) check
+    the builder ran in the oracle's place.
+    """
+
+    inputs: dict
+    closed: Union[PiRational, float]
+    dim: Union[SphereDim, int]
+    quad_f: Optional[Callable] = None
+    mc_f: Optional[Callable] = None
+    quad_dim: Optional[SphereDim] = None
+    quad_scale: float = 1.0
+    refusal: Optional[str] = None
+    second: Optional[tuple] = None
 
 
-def _cmd_dirichlet(args, out):
-    alphas = _number_list(args.alpha)
-    if not alphas:
-        raise _UsageError("pass --alpha, one exponent per coordinate (repeat or comma-separate)")
-    mode = "signed" if args.signed else "abs"
-    if args.signed:
-        exact = dirichlet_signed(args.n, alphas)
-        decimal = to_float(exact)
-    else:
-        value = dirichlet_abs(args.n, alphas)
-        exact = value if isinstance(value, PiRational) else None
-        decimal = _decimal_of(value)
-    inputs = {"n": args.n, "alpha": alphas, "mode": mode}
-    lines = [_headline(exact if exact is not None else decimal, args.digits)]
+def _run(spec: _Spec, args, out) -> int:
+    """Headline, optional oracle check, report and exit code for one spec."""
+    decimal = _decimal_of(spec.closed)
+    lines = [_headline(spec.closed, args.digits)]
     ov = oe = sig = None
     status = "ok"
-    if args.verify:
-        inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples, nodes=args.nodes)
-        if args.n < 1:
-            raise DomainError("oracle verification needs n >= 1; the n = 0 sphere is two points")
-        if args.oracle == "quad" and args.signed and any(a % 2 for a in alphas):
+    if spec.second is not None:
+        ov, oe, sig, extra = spec.second
+        lines += extra
+    elif args.verify:
+        if spec.refusal:
+            raise DomainError(spec.refusal)
+        if args.oracle == "quad" and spec.quad_f is None:
             raise DomainError(
-                "quadrature verifies |x| integrands only; an odd signed case is "
-                "exactly zero, check it with --oracle mc"
+                "signed polynomials are not radii-only integrands; verify with --oracle mc"
             )
-        # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
-        lift_dim = SphereDim(2 * args.n + 1)
-        lifted = tuple(a - 1 for a in alphas)
-        ov, oe, sig, ok = _verify(
-            args, decimal, args.n,
-            lambda b: monomial_values(b.xs, alphas, absolute=not args.signed),
-            quad_f=lambda mus: mu_power_values(mus, lifted),
-            quad_dim=lift_dim,
-            quad_scale=math.pi ** -(args.n + 1),
-        )
+        spec.inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
+        if spec.quad_f is not None:
+            spec.inputs["nodes"] = args.nodes
+        if args.oracle == "mc":
+            mc_f = spec.mc_f or (lambda b: spec.quad_f(b.mus))
+            est = mc_integrate(spec.dim, mc_f, MCConfig(seed=args.seed, samples=args.samples))
+            ov, oe = est.value, est.error
+            sig = _sigma_of(abs(decimal - ov), oe, decimal)
+            ok = sig <= args.sigma
+        else:
+            est = quad_integrate(spec.quad_dim or spec.dim, spec.quad_f, args.nodes)
+            ov, oe = est.value * spec.quad_scale, est.error * abs(spec.quad_scale)
+            sig = abs(decimal - ov) / oe
+            ok = sig <= 1.0
         status = "ok" if ok else "disagree"
         lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
                   f"agreement sigma = {sig:.3g}", f"status = {status}"]
-    _emit(args, _report("dirichlet", inputs, exact, decimal, ov, oe, sig, status), lines, out)
+    exact = spec.closed if isinstance(spec.closed, PiRational) else None
+    report = _report(args.command, spec.inputs, exact, decimal, ov, oe, sig, status)
+    _emit(args, report, lines, out)
     return 0 if status == "ok" else 3
 
 
-def _cmd_mu_power(args, out):
-    alphas = _number_list(args.alpha)
-    if not alphas:
-        raise _UsageError("pass --alpha, one exponent per rotation circle")
+def _volume(args) -> _Spec:
     dim = SphereDim(args.D)
-    value = mu_power_integral(dim, alphas)
-    exact = value if isinstance(value, PiRational) else None
-    decimal = _decimal_of(value)
-    inputs = {"D": args.D, "alpha": alphas}
-    lines = [_headline(exact if exact is not None else decimal, args.digits)]
-    ov = oe = sig = None
-    status = "ok"
-    if args.verify:
-        inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples, nodes=args.nodes)
-        ov, oe, sig, ok = _verify(
-            args, decimal, dim,
-            lambda b: mu_power_values(b.mus, alphas),
-            quad_f=lambda mus: mu_power_values(mus, alphas),
-        )
-        status = "ok" if ok else "disagree"
-        lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
-                  f"agreement sigma = {sig:.3g}", f"status = {status}"]
-    _emit(args, _report("mu-power", inputs, exact, decimal, ov, oe, sig, status), lines, out)
-    return 0 if status == "ok" else 3
+    # the constant 1 is the empty mu-power product
+    return _Spec({"D": args.D}, sphere_volume(dim), dim, lambda mus: mu_power_values(mus, ()))
+
+
+def _dirichlet(args) -> _Spec:
+    alphas = _number_list(
+        args.alpha, "pass --alpha, one exponent per coordinate (repeat or comma-separate)"
+    )
+    closed = (dirichlet_signed if args.signed else dirichlet_abs)(args.n, alphas)
+    if args.n < 1:
+        refusal = "oracle verification needs n >= 1; the n = 0 sphere is two points"
+    elif args.oracle == "quad" and args.signed and any(a % 2 for a in alphas):
+        refusal = ("quadrature verifies |x| integrands only; an odd signed case is "
+                   "exactly zero, check it with --oracle mc")
+    else:
+        refusal = None
+    lifted = tuple(a - 1 for a in alphas)
+    return _Spec(
+        {"n": args.n, "alpha": alphas, "mode": "signed" if args.signed else "abs"},
+        closed,
+        args.n,
+        # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
+        quad_f=lambda mus: mu_power_values(mus, lifted),
+        mc_f=lambda b: monomial_values(b.xs, alphas, absolute=not args.signed),
+        quad_dim=SphereDim(2 * args.n + 1),
+        quad_scale=math.pi ** -(args.n + 1),
+        refusal=refusal,
+    )
+
+
+def _mu_power(args) -> _Spec:
+    alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
+    dim = SphereDim(args.D)
+    return _Spec({"D": args.D, "alpha": alphas}, mu_power_integral(dim, alphas), dim,
+                 lambda mus: mu_power_values(mus, alphas))
+
+
+def _fluid(args) -> _Spec:
+    omegas = [float(w) for w in _number_list(
+        args.omega, "pass --omega, one angular velocity per rotation circle")]
+    params = FluidParams(args.D, omegas)
+    spec = _Spec({"D": args.D, "omega": omegas}, fluid_closed(params), params.dim,
+                 lambda mus: gamma_power_values(mus, params))
+    if args.series and args.verify:
+        raise _UsageError("--series and --verify are separate checks; pick one per run")
+    if args.series:
+        try:
+            res = fluid_series(params, args.kmax)
+        except DomainError:
+            raise
+        except ValueError as e:  # --kmax past the series work caps
+            raise _UsageError(str(e))
+        spec.inputs.update(oracle="series", kmax=args.kmax)
+        gap = abs(res.value - spec.closed) / abs(spec.closed)
+        spec.second = (res.value, res.last_term_magnitude, gap, [
+            f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
+            f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
+            f"relative gap = {gap:.3g}",
+        ])
+    return spec
+
+
+def _integrate_poly(args) -> _Spec:
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            poly = parse_polynomial(fh.read(), args.n)
+    except OSError as e:
+        raise _UsageError(f"cannot read {args.file}: {e}")
+    except ValueError as e:  # a malformed file
+        raise _UsageError(str(e))
+    return _Spec(
+        {"n": args.n, "file": args.file, "terms": len(poly)},
+        poly_integrate(args.n, poly),
+        args.n,
+        mc_f=lambda b: polynomial_values(b.xs, poly),
+        refusal="oracle verification needs n >= 1" if args.n < 1 else None,
+    )
 
 
 def _cmd_reduce(args, out):
-    alphas = _number_list(args.alpha)
-    if not alphas:
-        raise _UsageError("pass --alpha, one exponent per rotation circle")
+    alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     dim = SphereDim(args.D)
     direct = mu_power_integral(dim, alphas)
     reduced = reduction_rhs(dim, alphas)
@@ -357,76 +405,7 @@ def _cmd_reduce(args, out):
     return 0 if status == "ok" else 3
 
 
-def _cmd_fluid(args, out):
-    omegas = [float(w) for w in _number_list(args.omega)]
-    if not omegas:
-        raise _UsageError("pass --omega, one angular velocity per rotation circle")
-    params = FluidParams(args.D, omegas)
-    decimal = fluid_closed(params)
-    inputs = {"D": args.D, "omega": omegas}
-    lines = [_fmt(decimal, args.digits)]
-    ov = oe = sig = None
-    status = "ok"
-    if args.series and args.verify:
-        raise _UsageError("--series and --verify are separate checks; pick one per run")
-    if args.series:
-        inputs.update(oracle="series", kmax=args.kmax)
-        res = fluid_series(params, args.kmax)
-        gap = abs(res.value - decimal) / abs(decimal)
-        ov, oe, sig = res.value, res.last_term_magnitude, gap
-        lines += [
-            f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
-            f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
-            f"relative gap = {gap:.3g}",
-        ]
-    elif args.verify:
-        inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples, nodes=args.nodes)
-        ov, oe, sig, ok = _verify(
-            args, decimal, params.dim,
-            lambda b: gamma_power_values(b.mus, params),
-            quad_f=lambda mus: gamma_power_values(mus, params),
-        )
-        status = "ok" if ok else "disagree"
-        lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
-                  f"agreement sigma = {sig:.3g}", f"status = {status}"]
-    _emit(args, _report("fluid", inputs, None, decimal, ov, oe, sig, status), lines, out)
-    return 0 if status == "ok" else 3
-
-
-def _cmd_integrate_poly(args, out):
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise _UsageError(f"cannot read {args.file}: {e}")
-    poly = parse_polynomial(text, args.n)
-    exact = poly_integrate(args.n, poly)
-    decimal = to_float(exact)
-    inputs = {"n": args.n, "file": args.file, "terms": len(poly)}
-    lines = [_headline(exact, args.digits)]
-    ov = oe = sig = None
-    status = "ok"
-    if args.verify:
-        if args.n < 1:
-            raise DomainError("oracle verification needs n >= 1")
-        if args.oracle == "quad":
-            raise DomainError(
-                "signed polynomials are not radii-only integrands; verify with --oracle mc"
-            )
-        inputs.update(oracle="mc", seed=args.seed, samples=args.samples)
-        ov, oe, sig, ok = _verify(
-            args, decimal, args.n, lambda b: polynomial_values(b.xs, poly)
-        )
-        status = "ok" if ok else "disagree"
-        lines += [f"oracle (mc) = {_fmt(ov, args.digits)} +- {oe:.3g}",
-                  f"agreement sigma = {sig:.3g}", f"status = {status}"]
-    _emit(args, _report("integrate-poly", inputs, exact, decimal, ov, oe, sig, status), lines, out)
-    return 0 if status == "ok" else 3
-
-
 def _cmd_sample(args, out):
-    if args.count < 1:
-        raise _UsageError("--count must be >= 1")
     dim = SphereDim(args.D)
     batch = sample_batch(dim, MCConfig(seed=args.seed, samples=args.count))
     header = (
@@ -454,34 +433,28 @@ def _cmd_sample(args, out):
     return 0
 
 
-_COMMANDS = {
-    "volume": _cmd_volume,
-    "dirichlet": _cmd_dirichlet,
-    "mu-power": _cmd_mu_power,
-    "reduce": _cmd_reduce,
-    "fluid": _cmd_fluid,
-    "integrate-poly": _cmd_integrate_poly,
-    "sample": _cmd_sample,
+# the closed forms build a _Spec that _run reports; the rest report themselves
+_SPECS = {
+    "volume": _volume,
+    "dirichlet": _dirichlet,
+    "mu-power": _mu_power,
+    "fluid": _fluid,
+    "integrate-poly": _integrate_poly,
 }
+_COMMANDS = {"reduce": _cmd_reduce, "sample": _cmd_sample}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
+        args = build_parser().parse_args(argv)
+        if args.command in _SPECS:
+            return _run(_SPECS[args.command](args), args, sys.stdout)
+        return _COMMANDS[args.command](args, sys.stdout)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return _COMMANDS[args.command](args, sys.stdout)
-    except _UsageError as e:
+    except (_UsageError, DomainError, ValueError, TypeError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 1
-    except (DomainError, ValueError, TypeError, OverflowError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+        return 1 if isinstance(e, _UsageError) else 2
 
 
 if __name__ == "__main__":

@@ -126,9 +126,6 @@ class PiRational:
             power = f"({self.m}/2)"
         return f"{self.q} * pi^{power}"
 
-    def to_float(self) -> float:
-        return to_float(self)
-
 
 def pi_power(m: int) -> PiRational:
     """pi^(m/2) as an exact value."""

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
+import numpy as np
+
 from .exactpi import DomainError, PiRational, gamma_half, pi_power, pochhammer, to_float
 from .integrals import SphereDim, as_dim, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
 _SERIES_W2_LIMIT = 0.99
+# fluid_series work caps: truncation order K, and C(K + r, r) multi-indices
+# over r rotation circles (the Pochhammer/Gamma precompute grows with K)
+_SERIES_MAX_ORDER = 1000
+_SERIES_MAX_TERMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -47,17 +53,6 @@ class FluidParams:
                 )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "omegas", omegas)
-
-
-def gamma_factor(params: FluidParams, mus: Sequence[float]) -> float:
-    """Lorentz factor 1 / sqrt(1 - sum mu_i^2 w_i^2) at the given polar radii."""
-    k = params.dim.n_angles
-    if len(mus) < k:
-        raise ValueError(f"need at least {k} polar radii, got {len(mus)}")
-    v2 = math.fsum(float(mus[i]) ** 2 * params.omegas[i] ** 2 for i in range(k))
-    if v2 >= 1.0:
-        raise DomainError(f"local speed squared {v2} reaches 1; gamma diverges")
-    return 1.0 / math.sqrt(1.0 - v2)
 
 
 def fluid_closed_factors(params: FluidParams) -> Tuple[PiRational, float]:
@@ -103,11 +98,19 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
 
     Refuses when max w_j^2 > 0.99: convergence goes as (max w_j^2)^k, so
     the shell count needed there is enormous; use fluid_closed instead.
+    Refuses up front, with ValueError, a truncation order above 1000 or
+    one whose multi-index count C(order + r, r) exceeds 10^6.
     """
     if isinstance(truncation_order, bool) or not isinstance(truncation_order, int):
         raise TypeError("truncation_order must be an integer")
     if truncation_order < 0:
         raise ValueError("truncation_order must be >= 0")
+    K, r = truncation_order, params.dim.n_angles
+    if K > _SERIES_MAX_ORDER or math.comb(K + r, r) > _SERIES_MAX_TERMS:
+        raise ValueError(
+            f"truncation_order {K} over {r} rotation circles is past the series caps: "
+            f"order <= {_SERIES_MAX_ORDER} and C(order + {r}, {r}) <= {_SERIES_MAX_TERMS} terms"
+        )
     w2 = [w * w for w in params.omegas]
     if max(w2) > _SERIES_W2_LIMIT:
         raise DomainError(
@@ -116,9 +119,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "fluid_closed instead"
         )
     dim = params.dim
-    r = dim.n_angles
     half = Fraction(dim.D + 1, 2)
-    K = truncation_order
 
     factorials = [math.factorial(k) for k in range(K + 1)]
     pochs = [pochhammer(half, k) for k in range(K + 1)]
@@ -169,8 +170,6 @@ def _shell_indices(total: int, slots: int):
 
 def gamma_power_values(mus, params: FluidParams):
     """Vectorized gamma^(D+1) for the oracle integrators; mus is (M, n+1)."""
-    import numpy as np
-
     k = params.dim.n_angles
     w2 = np.array([w * w for w in params.omegas])
     v2 = (mus[:, :k] ** 2) @ w2

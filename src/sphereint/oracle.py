@@ -159,15 +159,6 @@ def sample_batch(dim: Union[SphereDim, int], config: MCConfig) -> PointBatch:
     )
 
 
-def sample_uniform(dim: Union[SphereDim, int], config: MCConfig) -> Iterator[SpherePoint]:
-    """Stream of uniform samples on S^D, one SpherePoint at a time."""
-    dim = as_dim(dim)
-    for xs in _iter_xs_chunks(dim, config):
-        batch = _batch_from_xs(dim, xs)
-        for i in range(len(batch)):
-            yield batch.point(i)
-
-
 def mc_integrate(
     dim: Union[SphereDim, int],
     f: Callable[[PointBatch], np.ndarray],

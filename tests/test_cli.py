@@ -141,6 +141,18 @@ def test_alpha_comma_and_repeat_are_equivalent(capsys):
         capsys,
     )
     assert a == b
+    # a list may start with a negative value, with or without "="
+    forms = [
+        (["mu-power", "--D", "5", "--alpha", "-1,0,2"],
+         ["mu-power", "--D", "5", "--alpha=-1,0,2"],
+         ["mu-power", "--D", "5", "--alpha", "-1", "--alpha", "0", "--alpha", "2"]),
+        (["fluid", "--D", "3", "--omega", "-0.3,0.4"],
+         ["fluid", "--D", "3", "--omega=-0.3,0.4"]),
+    ]
+    for argvs in forms:
+        reports = [run_json(argv, capsys) for argv in argvs]
+        assert reports[0][0] == 0
+        assert all(r == reports[0] for r in reports)
 
 
 def test_integer_tokens_take_the_exact_path(capsys):
@@ -196,7 +208,9 @@ def test_parse_polynomial_details():
 # -- exit codes -------------------------------------------------------------
 
 
-def test_exit_usage_errors(capsys):
+def test_exit_usage_errors(tmp_path, capsys):
+    f = tmp_path / "p.poly"
+    f.write_text("1 2 0 0\n")
     cases = [
         ["volume"],  # missing --D
         ["nonsense"],
@@ -205,10 +219,25 @@ def test_exit_usage_errors(capsys):
         ["mu-power", "--D", "2", "--alpha", "abc"],
         ["fluid", "--D", "2", "--omega", "0.5", "--series", "--verify"],
         ["sample", "--D", "2", "--count", "0"],
+        ["mu-power", "--alpha", "--D", "5"],  # a flag is not a value
+        # flag values out of range, refused before any work
+        ["volume", "--D", "4", "--verify", "--samples", "0"],
+        ["volume", "--D", "4", "--digits", "0"],
+        ["volume", "--D", "4", "--verify", "--sigma", "-1"],
+        ["dirichlet", "--n", "2", "--alpha", "2,0,0", "--abs", "--verify",
+         "--oracle", "quad", "--nodes", "1"],
+        ["mu-power", "--D", "5", "--alpha", "2,0,-1", "--verify", "--seed", "-1"],
+        ["reduce", "--D", "4", "--alpha", "2,0", "--digits", "-3"],
+        ["fluid", "--D", "2", "--omega", "0.5", "--verify", "--sigma", "nan"],
+        ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "-1"],
+        ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "100000000"],
+        ["integrate-poly", "--n", "0", "--file", str(f)],  # 3 exponents per line for n = 0
+        ["sample", "--D", "2", "--seed", "-1"],
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)
         assert code == 1, argv
+        assert out == "", argv
         assert err.startswith("error:"), argv
 
 
@@ -222,6 +251,8 @@ def test_exit_domain_errors(capsys):
         ["dirichlet", "--n", "1", "--alpha", "1,1", "--signed", "--verify", "--oracle", "quad"],
         ["dirichlet", "--n", "0", "--alpha", "2", "--abs", "--verify"],
         ["volume", "--D", "12", "--verify", "--oracle", "quad"],
+        ["reduce", "--D", "2", "--alpha", "-2"],
+        ["sample", "--D", "0"],
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)
@@ -229,14 +260,21 @@ def test_exit_domain_errors(capsys):
         assert err.startswith("error:"), argv
 
 
-def test_exit_oracle_disagreement(capsys):
-    code, out, err = run(
-        ["mu-power", "--D", "2", "--alpha", "2", "--verify",
-         "--seed", "5", "--samples", "2000", "--sigma", "0.0"],
-        capsys,
-    )
-    assert code == 3
-    assert "status = disagree" in out
+def test_exit_oracle_disagreement(tmp_path, capsys):
+    f = tmp_path / "p.poly"
+    f.write_text("1/2 2 2 0\n3 0 0 0\n")
+    tight = ["--verify", "--sigma", "0.01"]
+    cases = [
+        ["mu-power", "--D", "2", "--alpha", "2", "--seed", "5", "--samples", "2000", *tight],
+        ["volume", "--D", "4", "--verify", "--oracle", "quad", "--nodes", "2"],
+        ["dirichlet", "--n", "2", "--alpha", "2,0,0", "--signed", *tight],
+        ["fluid", "--D", "2", "--omega", "0.6", *tight],
+        ["integrate-poly", "--n", "2", "--file", str(f), *tight],
+    ]
+    for argv in cases:
+        code, out, err = run(argv, capsys)
+        assert code == 3, argv
+        assert "status = disagree" in out, argv
 
 
 def test_exit_poly_quad_refused(tmp_path, capsys):

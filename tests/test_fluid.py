@@ -1,7 +1,9 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sphereint.exactpi import DomainError, PiRational, to_float
@@ -10,7 +12,7 @@ from sphereint.fluid import (
     fluid_closed,
     fluid_closed_factors,
     fluid_series,
-    gamma_factor,
+    gamma_power_values,
 )
 from sphereint.integrals import sphere_volume
 
@@ -26,22 +28,16 @@ def test_params_validation():
     assert p.omegas == (0.3, -0.4)
 
 
-def test_gamma_factor_values():
+def test_gamma_power_values():
     p = FluidParams(2, (0.6,))
-    # at mu_1 = 1 the speed is 0.6, so gamma = 1.25
-    assert gamma_factor(p, (1.0, 0.0)) == pytest.approx(1.25, rel=1e-15)
+    # at mu_1 = 1 the speed is 0.6, so gamma = 1.25 and gamma^(D+1) = 1.25^3;
     # at the pole mu_1 = 0 nothing moves
-    assert gamma_factor(p, (0.0, 1.0)) == 1.0
-    with pytest.raises(ValueError):
-        gamma_factor(p, ())
-
-
-def test_gamma_factor_diverges_at_light_speed():
-    p = FluidParams(2, (0.999999,))
-    big = FluidParams(2, (0.5,))
-    with pytest.raises(DomainError):
-        gamma_factor(big, (2.0, 0.0))  # off-sphere radii can push v^2 past 1
-    assert gamma_factor(p, (1.0, 0.0)) > 700
+    vals = gamma_power_values(np.array([[1.0, 0.0], [0.0, 1.0]]), p)
+    assert vals[0] == pytest.approx(1.25**3, rel=1e-14)
+    assert vals[1] == 1.0
+    # D = 3: both radii columns move, gamma^4 = (1 - v^2)^-2
+    vals = gamma_power_values(np.array([[0.6, 0.8]]), FluidParams(3, (0.3, 0.4)))
+    assert vals[0] == pytest.approx((1 - 0.36 * 0.09 - 0.64 * 0.16) ** -2, rel=1e-14)
 
 
 def test_closed_form_values():
@@ -136,3 +132,16 @@ def test_series_rejects_bad_order():
         fluid_series(p, -1)
     with pytest.raises(TypeError):
         fluid_series(p, 2.0)
+
+
+def test_series_work_caps():
+    # past either cap the refusal comes before any work
+    for D, K in [(1, 1001), (1, 10**8), (6, 180)]:  # C(180 + 3, 3) = 1,005,101 terms
+        p = FluidParams(D, (0.0,) * ((D + 1) // 2))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="series caps"):
+            fluid_series(p, K)
+        assert time.perf_counter() - start < 0.5
+    # at each cap the series still runs; w = 0 keeps the per-term work small
+    assert fluid_series(FluidParams(1, (0.0,)), 1000).terms_used == 1001
+    assert fluid_series(FluidParams(6, (0.0,) * 3), 179).terms_used == math.comb(182, 3)

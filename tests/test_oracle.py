@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from sphereint.oracle import (
     polynomial_values,
     quad_integrate,
     sample_batch,
-    sample_uniform,
 )
 
 
@@ -76,15 +74,6 @@ def test_sampler_uniformity(D):
         sq = col**2
         se2 = sq.std(ddof=1) / math.sqrt(m)
         assert abs(sq.mean() - 1.0 / (D + 1)) <= 4 * se2
-
-
-def test_stream_matches_batch():
-    cfg = MCConfig(seed=42, samples=50)
-    batch = sample_batch(3, cfg)
-    streamed = list(islice(sample_uniform(3, cfg), 50))
-    assert len(streamed) == 50
-    for i in (0, 17, 49):
-        assert streamed[i] == batch.point(i)
 
 
 def test_mc_constant_is_exact_volume():
