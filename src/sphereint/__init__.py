@@ -25,7 +25,6 @@ from .fluid import (
     FluidParams,
     SeriesResult,
     fluid_closed,
-    fluid_closed_factors,
     fluid_series,
     gamma_power_values,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "FluidParams",
     "SeriesResult",
     "fluid_closed",
-    "fluid_closed_factors",
     "fluid_series",
     "gamma_power_values",
     "IntegrandError",

@@ -10,6 +10,7 @@ which makes equality and hashing structural.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,7 +138,8 @@ def to_float(value: PiRational) -> float:
 
     Computed at 40 significant digits before the final rounding, so the
     relative error is below 1e-15 whenever the result is representable.
-    Raises OverflowError outside the double range.
+    Raises OverflowError outside the double range: above it, or nonzero
+    and below the smallest normal double.
     """
     if not isinstance(value, PiRational):
         raise TypeError(f"expected PiRational, got {value!r}")
@@ -150,6 +152,8 @@ def to_float(value: PiRational) -> float:
         out = float(x)
     if math.isinf(out):
         raise OverflowError("value exceeds the double-precision range")
+    if abs(out) < sys.float_info.min:
+        raise OverflowError("value is below the double-precision range")
     return out
 
 

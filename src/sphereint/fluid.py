@@ -3,26 +3,30 @@
 A rotation with angular velocity w_i on each of the n + eps coordinate
 circles gives a local speed v^2 = sum mu_i^2 w_i^2 and Lorentz factor
 gamma = 1 / sqrt(1 - v^2).  The integral of gamma^(D+1) over S^D has the
-closed form V_D / prod (1 - w_j^2), which the truncated binomial series
-evaluated here converges to from below.
+closed form V_D / prod (1 - w_j^2).  The truncated binomial series
+evaluated here converges to it from below; its shell of total order k
+is V_D h_k(w_1^2, ..., w_r^2), with h_k the complete homogeneous
+symmetric polynomial.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .exactpi import DomainError, PiRational, gamma_half, pi_power, pochhammer, to_float
+from .exactpi import DomainError, to_float
 from .integrals import SphereDim, as_dim, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
 _SERIES_W2_LIMIT = 0.99
 # fluid_series work caps: truncation order K, and C(K + r, r) multi-indices
-# over r rotation circles (the Pochhammer/Gamma precompute grows with K)
+# over r rotation circles.  C(K + r, r) >= 1 + K r, so the terms cap also
+# bounds the K r steps of the h_k recurrence, and it keeps every h_k (a sum
+# of at most C(K + r, r) monomials, each below 1) under 10^6, far from overflow.
 _SERIES_MAX_ORDER = 1000
 _SERIES_MAX_TERMS = 10**6
 
@@ -55,18 +59,19 @@ class FluidParams:
         object.__setattr__(self, "omegas", omegas)
 
 
-def fluid_closed_factors(params: FluidParams) -> Tuple[PiRational, float]:
-    """The closed form split into its exact prefactor V_D and the float divergence factor."""
+def fluid_closed(params: FluidParams) -> float:
+    """Integral of gamma^(D+1) over S^D: V_D / prod (1 - w_j^2).
+
+    Raises OverflowError when the product is below the normal double
+    range, as many circles near light speed make it, even where the
+    quotient itself would fit.
+    """
     denom = 1.0
     for w in params.omegas:
         denom *= 1.0 - w * w
-    return sphere_volume(params.dim), denom
-
-
-def fluid_closed(params: FluidParams) -> float:
-    """Integral of gamma^(D+1) over S^D: V_D / prod (1 - w_j^2)."""
-    volume, denom = fluid_closed_factors(params)
-    return to_float(volume) / denom
+    if denom < sys.float_info.min:
+        raise OverflowError("prod (1 - w^2) is below the double-precision range")
+    return to_float(sphere_volume(params.dim)) / denom
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,16 @@ class SeriesResult:
 def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     """Binomial-series evaluation of the gamma^(D+1) integral.
 
-    gamma^(D+1) = sum over multi-indices (k_1..k_r) of
-    pochhammer((D+1)/2, k) * prod w_j^(2 k_j) / k_j!  times the monomial
-    prod mu_j^(2 k_j), which integrates term by term through the factorial
-    closed form (the unsimplified route; coefficients stay exact rationals
-    and floats enter only at the w-power multiplication).  Truncation is by
-    total order: all multi-indices with sum k_j <= truncation_order, summed
-    shell by shell in ascending k, lexicographic within a shell, so the
-    reduction order is deterministic.
+    Expanding gamma^(D+1) = (1 - sum w_j^2 mu_j^2)^(-(D+1)/2) and
+    integrating each monomial prod mu_j^(2 k_j) with term_integral, every
+    multi-index of total order k contributes V_D prod w_j^(2 k_j): the
+    Pochhammer coefficient and the k_j! cancel against
+    Gamma((D+1)/2 + k).  Shell k is therefore V_D h_k(w_1^2, ..., w_r^2),
+    with h_k the complete homogeneous symmetric polynomial, built by the
+    recurrence h_k += w_j^2 h_(k-1) one circle at a time.  Truncation is
+    by total order: shells k = 0..truncation_order, summed in ascending k,
+    so the reduction order is deterministic.  terms_used counts the
+    multi-indices those shells cover, C(order + r, r).
 
     Refuses when max w_j^2 > 0.99: convergence goes as (max w_j^2)^k, so
     the shell count needed there is enormous; use fluid_closed instead.
@@ -118,54 +125,20 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "impractically many shells this close to divergence; evaluate "
             "fluid_closed instead"
         )
-    dim = params.dim
-    half = Fraction(dim.D + 1, 2)
-
-    factorials = [math.factorial(k) for k in range(K + 1)]
-    pochs = [pochhammer(half, k) for k in range(K + 1)]
-    gammas = [gamma_half(half + k) for k in range(K + 1)]
-    # every term carries the same power of pi: (D+1) from the volume factor
-    # minus the sqrt(pi) living in Gamma((D+1)/2 + k) when D is even
-    pi_factor = to_float(pi_power(dim.D + 1 - gammas[0].m))
-
+    h = [1.0] + [0.0] * K  # h[k] = h_k of the circles folded in so far
+    for x in w2:
+        for k in range(1, K + 1):
+            h[k] += x * h[k - 1]
+    volume = to_float(sphere_volume(params.dim))
     total = 0.0
-    terms = 0
-    last_shell = 0.0
-    for k in range(K + 1):
-        shell = 0.0
-        for ks in _shell_indices(k, r):
-            terms += 1
-            wpow = 1.0
-            for kj, w2j in zip(ks, w2):
-                if kj:
-                    wpow *= w2j ** kj
-            if wpow == 0.0:
-                continue
-            fact_prod = 1
-            for kj in ks:
-                fact_prod *= factorials[kj]
-            coeff = pochs[k] / fact_prod               # series coefficient
-            term_q = Fraction(2 * fact_prod) / gammas[k].q  # term-wise integral
-            shell += float(coeff * term_q) * wpow
-        shell_value = shell * pi_factor
-        total += shell_value
-        last_shell = abs(shell_value)
+    for hk in h:
+        total += volume * hk
     return SeriesResult(
         value=total,
-        terms_used=terms,
-        last_term_magnitude=last_shell,
+        terms_used=math.comb(K + r, r),
+        last_term_magnitude=volume * h[K],
         truncation_order=K,
     )
-
-
-def _shell_indices(total: int, slots: int):
-    """Multi-indices with the given total over `slots` entries, lexicographic."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _shell_indices(total - first, slots - 1):
-            yield (first,) + rest
 
 
 def gamma_power_values(mus, params: FluidParams):

@@ -20,6 +20,7 @@ all n + 1 coordinates.  reduction_rhs evaluates that right-hand side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -147,6 +148,18 @@ def dirichlet_abs(n: int, alphas: Sequence[Number]) -> Union[PiRational, float]:
     return dirichlet_abs_float(n, alphas)
 
 
+def _exp_normal(log: float) -> float:
+    """exp(log) for the float paths; OverflowError outside the double range.
+
+    math.exp raises above the range itself; below it, where exp would
+    return a subnormal or 0.0, this raises as the exact path's to_float does.
+    """
+    out = math.exp(log)
+    if out < sys.float_info.min:
+        raise OverflowError("value is below the double-precision range")
+    return out
+
+
 def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     """Floating-point path for dirichlet_abs, via log-Gamma only.
 
@@ -158,7 +171,7 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     for a in alphas:
         log += math.lgamma((1.0 + a) / 2.0)
     log -= math.lgamma((n + 1 + math.fsum(alphas)) / 2.0)
-    return math.exp(log)
+    return _exp_normal(log)
 
 
 def mu_power_integral(
@@ -188,7 +201,7 @@ def mu_power_float(dim: Union[SphereDim, int], alphas: Sequence[Number]) -> floa
     for a in alphas:
         log += math.lgamma(1.0 + a / 2.0)
     log -= math.lgamma((dim.D + 1 + math.fsum(alphas)) / 2.0)
-    return math.exp(log)
+    return _exp_normal(log)
 
 
 def reduction_rhs(

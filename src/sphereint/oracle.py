@@ -103,14 +103,6 @@ class OracleEstimate:
     samples_or_nodes: int
     method: str
 
-    @property
-    def std_error(self) -> float:
-        return self.error
-
-    @property
-    def error_bound(self) -> float:
-        return self.error
-
 
 def _volume_float(dim: SphereDim) -> float:
     # log-Gamma route, independent of the exact evaluators this module checks
@@ -167,13 +159,16 @@ def mc_integrate(
     """Monte Carlo estimate of the integral of f over S^D.
 
     f receives a PointBatch and must return one float per row.  The value
-    is V_D * mean(f); std_error is V_D times the sample standard error of
-    the mean (zero for a constant integrand).
+    is V_D * mean(f); error is V_D times the sample standard error of the
+    mean (zero for a constant integrand).  The variance comes from
+    per-chunk centred sums of squares merged by the pairwise update of
+    Chan, Golub and LeVeque (1983), so a large mean cannot cancel it away.
     """
     dim = as_dim(dim)
     total = 0.0
-    total_sq = 0.0
     count = 0
+    run_mean = 0.0
+    m2 = 0.0  # sum of squared deviations from run_mean over the chunks so far
     for xs in _iter_xs_chunks(dim, config):
         batch = _batch_from_xs(dim, xs)
         vals = np.asarray(f(batch), dtype=float)
@@ -188,15 +183,17 @@ def mc_integrate(
             raise IntegrandError(
                 f"integrand returned {vals[i]!r} at sample {count + i}", point
             )
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        count += len(batch)
+        chunk_sum = float(np.sum(vals))
+        m = len(batch)
+        chunk_mean = chunk_sum / m
+        dev = vals - chunk_mean
+        delta = chunk_mean - run_mean
+        m2 += float(np.sum(dev * dev)) + delta * delta * count * m / (count + m)
+        run_mean += delta * m / (count + m)
+        total += chunk_sum
+        count += m
     mean = total / count
-    if count > 1:
-        var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-        std_err = math.sqrt(var / count)
-    else:
-        std_err = 0.0
+    std_err = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
     vol = _volume_float(dim)
     return OracleEstimate(
         value=vol * mean,
@@ -345,7 +342,7 @@ def quad_integrate(
     row.  The circle angles are integrated analytically, leaving an
     n-dimensional tensor-product Gauss-Legendre grid; the cap D <= 9 keeps
     that grid at most four axes.  The estimate is the refined pass
-    I(2N); error_bound is |I(2N) - I(N)| plus a roundoff floor, so a
+    I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
     converged result never reports a zero bound.
     """
     dim = as_dim(dim)

@@ -253,6 +253,7 @@ def test_exit_domain_errors(capsys):
         ["volume", "--D", "12", "--verify", "--oracle", "quad"],
         ["reduce", "--D", "2", "--alpha", "-2"],
         ["sample", "--D", "0"],
+        ["fluid", "--D", "399", "--omega", ",".join(["0.995"] * 200)],  # prod (1 - w^2) too
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)

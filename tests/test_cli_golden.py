@@ -7,7 +7,10 @@ recorded outputs with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and review the data file's diff entry by entry.
+which prints the argv of every entry whose code, stdout or stderr
+changed (a new entry counts as changed); review those in the data
+file's diff entry by entry.  A new command is added as an entry with
+just its "argv" and recorded by the same run.
 """
 
 import contextlib
@@ -53,7 +56,10 @@ if __name__ == "__main__":
         os.chdir(tmp)
         try:
             for case in GOLDEN["cases"]:
-                case.update(_capture(case["argv"]))
+                new = _capture(case["argv"])
+                if any(case.get(k) != v for k, v in new.items()):
+                    sys.stdout.write("changed: " + " ".join(case["argv"]) + "\n")
+                case.update(new)
         finally:
             os.chdir(cwd)
     DATA.write_text(json.dumps(GOLDEN, indent=1) + "\n", encoding="utf-8")

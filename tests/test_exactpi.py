@@ -111,6 +111,10 @@ def test_to_float_reference_values():
 def test_to_float_overflow_is_reported():
     with pytest.raises(OverflowError):
         to_float(PiRational(Fraction(10 ** 400)))
+    # nonzero values below the normal range (subnormal or zero as doubles)
+    for q in (Fraction(1, 10 ** 400), Fraction(-1, 10 ** 310)):
+        with pytest.raises(OverflowError, match="below the double-precision range"):
+            to_float(PiRational(q, 3))
 
 
 def test_division_and_powers():

@@ -2,19 +2,19 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from sphereint.exactpi import DomainError, PiRational, to_float
+from sphereint.exactpi import DomainError, pochhammer, to_float
 from sphereint.fluid import (
     FluidParams,
     fluid_closed,
-    fluid_closed_factors,
     fluid_series,
     gamma_power_values,
 )
-from sphereint.integrals import sphere_volume
+from sphereint.integrals import sphere_volume, term_integral
 
 
 def test_params_validation():
@@ -54,11 +54,16 @@ def test_closed_form_values():
 
 def test_closed_form_factors_are_exact_vol_and_float_denominator():
     p = FluidParams(4, (0.2, 0.7))
-    vol, denom = fluid_closed_factors(p)
-    assert isinstance(vol, PiRational)
-    assert vol == sphere_volume(4)
-    assert denom == pytest.approx((1 - 0.04) * (1 - 0.49), rel=1e-15)
-    assert fluid_closed(p) == pytest.approx(to_float(vol) / denom, rel=1e-15)
+    denom = (1.0 - 0.2 * 0.2) * (1.0 - 0.7 * 0.7)
+    assert fluid_closed(p) == to_float(sphere_volume(4)) / denom
+
+
+def test_closed_form_refuses_an_underflowing_denominator():
+    # 200 circles at w = 0.995: prod (1 - w^2) ~ 1e-400 is below the double
+    # range although V_399 / prod ~ 2e127 is not
+    p = FluidParams(399, (0.995,) * 200)
+    with pytest.raises(OverflowError, match="below the double-precision range"):
+        fluid_closed(p)
 
 
 def test_factorized_divergence():
@@ -68,7 +73,7 @@ def test_factorized_divergence():
         for _ in range(25):
             omegas = [rng.uniform(-0.995, 0.995) for _ in range(k)]
             p = FluidParams(D, omegas)
-            _, denom = fluid_closed_factors(p)
+            denom = math.prod(1.0 - w * w for w in omegas)
             assert fluid_closed(p) * denom == pytest.approx(
                 to_float(sphere_volume(D)), rel=1e-14
             )
@@ -84,6 +89,23 @@ def test_closed_form_lower_bound():
     assert fluid_closed(FluidParams(3, (0.0, 0.0))) == pytest.approx(
         to_float(sphere_volume(3)), rel=1e-15
     )
+
+
+def test_series_terms_all_integrate_to_the_volume():
+    # the identity the shell sum rests on: each multi-index's binomial
+    # coefficient poch((D+1)/2, k) / prod k_j! times its exact mu-power
+    # integral is V_D, so shell k is V_D h_k(w_1^2, ..., w_r^2)
+    checked = 0
+    for D in range(1, 9):
+        r = (D + 1) // 2
+        half = Fraction(D + 1, 2)
+        for ks in product(range(13), repeat=r):
+            if sum(ks) > 12:
+                continue
+            coeff = pochhammer(half, sum(ks)) / math.prod(math.factorial(k) for k in ks)
+            assert coeff * term_integral(D, ks) == sphere_volume(D), (D, ks)
+            checked += 1
+    assert checked == 4758
 
 
 def test_series_zeroth_shell_is_volume():
@@ -142,6 +164,6 @@ def test_series_work_caps():
         with pytest.raises(ValueError, match="series caps"):
             fluid_series(p, K)
         assert time.perf_counter() - start < 0.5
-    # at each cap the series still runs; w = 0 keeps the per-term work small
+    # at each cap the series still runs
     assert fluid_series(FluidParams(1, (0.0,)), 1000).terms_used == 1001
     assert fluid_series(FluidParams(6, (0.0,) * 3), 179).terms_used == math.comb(182, 3)

@@ -219,6 +219,18 @@ def test_positivity(data):
     assert mu_power_integral(dim, mus).q > 0
 
 
+def test_underflow_is_reported_on_both_paths():
+    # both values are far below the double range; neither path may return 0.0
+    with pytest.raises(OverflowError, match="below the double-precision range"):
+        to_float(sphere_volume(2000))
+    with pytest.raises(OverflowError, match="below the double-precision range"):
+        mu_power_float(2000, (0.0,) * 1000)
+    with pytest.raises(OverflowError, match="below the double-precision range"):
+        to_float(dirichlet_abs(3, [800] * 4))
+    with pytest.raises(OverflowError, match="below the double-precision range"):
+        dirichlet_abs_float(3, [800.0] * 4)
+
+
 def test_mode_consistency_spot_checks():
     # to_float of the exact path vs the independent lgamma path
     cases = [
