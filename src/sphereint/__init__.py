@@ -17,6 +17,7 @@ from .integrals import (
     dirichlet_signed,
     mu_power_float,
     mu_power_integral,
+    poly_integrate,
     reduction_rhs,
     sphere_volume,
     term_integral,
@@ -28,20 +29,22 @@ from .fluid import (
     fluid_series,
     gamma_power_values,
 )
-from .oracle import (
-    IntegrandError,
-    MCConfig,
-    OracleEstimate,
-    PointBatch,
-    SpherePoint,
-    mc_integrate,
-    monomial_values,
-    mu_power_values,
-    poly_integrate,
-    polynomial_values,
-    quad_integrate,
-    sample_batch,
-)
+
+
+# PEP 562: the names in __all__ not imported above are the oracles', which
+# load on first access, so that the exact path never imports numpy.
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -11,8 +11,8 @@ Keys are always present, null when not applicable.  Exit codes: 0 success,
 Usage errors are refused before any integration runs: a missing, unknown
 or conflicting flag, a flag value out of range (--samples, --count and
 --digits >= 1, --nodes >= 2, --seed and --kmax >= 0, --sigma finite and
-> 0), a --kmax past the series caps, and an unreadable or malformed
-polynomial file.
+> 0), a --kmax past the series caps, a --nodes past the quadrature
+budget, and an unreadable or malformed polynomial file.
 """
 
 from __future__ import annotations
@@ -33,19 +33,16 @@ from .integrals import (
     dirichlet_abs,
     dirichlet_signed,
     mu_power_integral,
+    poly_integrate,
     reduction_rhs,
     sphere_volume,
 )
-from .oracle import (
-    MCConfig,
-    mc_integrate,
-    monomial_values,
-    mu_power_values,
-    poly_integrate,
-    polynomial_values,
-    quad_integrate,
-    sample_batch,
-)
+
+
+def _oracle():
+    """The oracle module, imported on first use: only the oracles need numpy."""
+    from . import oracle
+    return oracle
 
 
 class _UsageError(Exception):
@@ -274,14 +271,20 @@ def _run(spec: _Spec, args, out) -> int:
         spec.inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
         if spec.quad_f is not None:
             spec.inputs["nodes"] = args.nodes
+        oracle = _oracle()
         if args.oracle == "mc":
             mc_f = spec.mc_f or (lambda b: spec.quad_f(b.mus))
-            est = mc_integrate(spec.dim, mc_f, MCConfig(seed=args.seed, samples=args.samples))
+            est = oracle.mc_integrate(spec.dim, mc_f, oracle.MCConfig(args.seed, args.samples))
             ov, oe = est.value, est.error
             sig = _sigma_of(abs(decimal - ov), oe, decimal)
             ok = sig <= args.sigma
         else:
-            est = quad_integrate(spec.quad_dim or spec.dim, spec.quad_f, args.nodes)
+            try:
+                est = oracle.quad_integrate(spec.quad_dim or spec.dim, spec.quad_f, args.nodes)
+            except (DomainError, oracle.IntegrandError):
+                raise
+            except ValueError as e:  # --nodes past the quadrature budget
+                raise _UsageError(str(e))
             ov, oe = est.value * spec.quad_scale, est.error * abs(spec.quad_scale)
             sig = abs(decimal - ov) / oe
             ok = sig <= 1.0
@@ -297,7 +300,8 @@ def _run(spec: _Spec, args, out) -> int:
 def _volume(args) -> _Spec:
     dim = SphereDim(args.D)
     # the constant 1 is the empty mu-power product
-    return _Spec({"D": args.D}, sphere_volume(dim), dim, lambda mus: mu_power_values(mus, ()))
+    return _Spec({"D": args.D}, sphere_volume(dim), dim,
+                 lambda mus: _oracle().mu_power_values(mus, ()))
 
 
 def _dirichlet(args) -> _Spec:
@@ -318,8 +322,8 @@ def _dirichlet(args) -> _Spec:
         closed,
         args.n,
         # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
-        quad_f=lambda mus: mu_power_values(mus, lifted),
-        mc_f=lambda b: monomial_values(b.xs, alphas, absolute=not args.signed),
+        quad_f=lambda mus: _oracle().mu_power_values(mus, lifted),
+        mc_f=lambda b: _oracle().monomial_values(b.xs, alphas, absolute=not args.signed),
         quad_dim=SphereDim(2 * args.n + 1),
         quad_scale=math.pi ** -(args.n + 1),
         refusal=refusal,
@@ -330,7 +334,7 @@ def _mu_power(args) -> _Spec:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     dim = SphereDim(args.D)
     return _Spec({"D": args.D, "alpha": alphas}, mu_power_integral(dim, alphas), dim,
-                 lambda mus: mu_power_values(mus, alphas))
+                 lambda mus: _oracle().mu_power_values(mus, alphas))
 
 
 def _fluid(args) -> _Spec:
@@ -370,7 +374,7 @@ def _integrate_poly(args) -> _Spec:
         {"n": args.n, "file": args.file, "terms": len(poly)},
         poly_integrate(args.n, poly),
         args.n,
-        mc_f=lambda b: polynomial_values(b.xs, poly),
+        mc_f=lambda b: _oracle().polynomial_values(b.xs, poly),
         refusal="oracle verification needs n >= 1" if args.n < 1 else None,
     )
 
@@ -407,7 +411,8 @@ def _cmd_reduce(args, out):
 
 def _cmd_sample(args, out):
     dim = SphereDim(args.D)
-    batch = sample_batch(dim, MCConfig(seed=args.seed, samples=args.count))
+    oracle = _oracle()
+    batch = oracle.sample_batch(dim, oracle.MCConfig(seed=args.seed, samples=args.count))
     header = (
         [f"x{i+1}" for i in range(dim.D + 1)]
         + [f"mu{i+1}" for i in range(dim.n_mu)]

@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-import numpy as np
-
 from .exactpi import DomainError, to_float
 from .integrals import SphereDim, as_dim, sphere_volume
 
@@ -144,6 +142,5 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
 def gamma_power_values(mus, params: FluidParams):
     """Vectorized gamma^(D+1) for the oracle integrators; mus is (M, n+1)."""
     k = params.dim.n_angles
-    w2 = np.array([w * w for w in params.omegas])
-    v2 = (mus[:, :k] ** 2) @ w2
+    v2 = (mus[:, :k] ** 2) @ [w * w for w in params.omegas]
     return (1.0 - v2) ** (-0.5 * (params.dim.D + 1))

@@ -15,6 +15,8 @@ The two families are linked by a reduction identity that trades the
 sphere: integral over S^D of prod mu_j^(a_j) equals
 pi^(n+eps) * integral over S^n of prod |mu_j|^(a_j + 1), zero-padded to
 all n + 1 coordinates.  reduction_rhs evaluates that right-hand side.
+poly_integrate extends the signed monomial integral linearly to
+polynomials with rational coefficients.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .exactpi import DomainError, PiRational, gamma_half, pi_power
 
 Number = Union[int, float]
+
+# the float paths refuse a result whose estimated relative error exceeds this
+_FLOAT_MAX_REL_ERR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,28 @@ def _dirichlet_exact(n: int, alphas: Sequence[int]) -> PiRational:
     return out / gamma_half(Fraction(n + 1 + sum(alphas), 2))
 
 
+def poly_integrate(
+    n: int, poly: Mapping[Sequence[int], Union[int, Fraction]]
+) -> PiRational:
+    """Exact integral over S^n of a polynomial in the embedding coordinates.
+
+    poly maps exponent tuples (length n+1, non-negative ints) to rational
+    coefficients.  Linearity over the signed monomial integrals; odd
+    monomials drop out exactly.
+    """
+    total = PiRational(Fraction(0))
+    for exps in sorted(poly):  # fixed term order, deterministic accumulation
+        coeff = poly[exps]
+        if isinstance(coeff, float):
+            raise TypeError(
+                f"coefficient for {exps} is a float; exact integration needs int or Fraction"
+            )
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+            raise TypeError(f"bad coefficient {coeff!r} for {exps}")
+        total = total + dirichlet_signed(n, tuple(exps)) * Fraction(coeff)
+    return total
+
+
 def dirichlet_abs(n: int, alphas: Sequence[Number]) -> Union[PiRational, float]:
     """Integral over S^n of prod |x_j|^(a_j) for real a_j >= 0.
 
@@ -148,12 +175,25 @@ def dirichlet_abs(n: int, alphas: Sequence[Number]) -> Union[PiRational, float]:
     return dirichlet_abs_float(n, alphas)
 
 
-def _exp_normal(log: float) -> float:
-    """exp(log) for the float paths; OverflowError outside the double range.
+def _exp_of_sum(terms: Sequence[float]) -> float:
+    """exp(sum of the log terms) for the float paths, refused where inexact.
 
-    math.exp raises above the range itself; below it, where exp would
-    return a subnormal or 0.0, this raises as the exact path's to_float does.
+    Each log-Gamma term carries rounding of order 2^-52 |term|, and exp
+    turns the log's absolute error into relative error; huge exponents
+    make the terms cancel, so a bound past _FLOAT_MAX_REL_ERR raises
+    DomainError.  Outside the double range this raises OverflowError:
+    math.exp does above it; below it, where exp would return a subnormal
+    or 0.0, this raises as the exact path's to_float does.
     """
+    log = 0.0
+    for t in terms:  # left to right, not fsum, so every float result keeps its bits
+        log += t
+    bound = sys.float_info.epsilon * math.fsum(map(abs, terms))
+    if bound > _FLOAT_MAX_REL_ERR:
+        raise DomainError(
+            f"the floating path's log-Gamma terms cancel: its relative error "
+            f"could reach {bound:.2g}, above {_FLOAT_MAX_REL_ERR:g}"
+        )
     out = math.exp(log)
     if out < sys.float_info.min:
         raise OverflowError("value is below the double-precision range")
@@ -164,14 +204,14 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     """Floating-point path for dirichlet_abs, via log-Gamma only.
 
     Kept independent of the exact path so the two can check each other.
+    Raises DomainError for exponents so large that the log-Gamma terms
+    cancel past a 1e-10 relative error.
     """
     n = _check_n(n)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
-    log = math.log(2.0)
-    for a in alphas:
-        log += math.lgamma((1.0 + a) / 2.0)
-    log -= math.lgamma((n + 1 + math.fsum(alphas)) / 2.0)
-    return _exp_normal(log)
+    terms = [math.log(2.0)] + [math.lgamma((1.0 + a) / 2.0) for a in alphas]
+    terms.append(-math.lgamma((n + 1 + math.fsum(alphas)) / 2.0))
+    return _exp_of_sum(terms)
 
 
 def mu_power_integral(
@@ -194,14 +234,17 @@ def mu_power_integral(
 
 
 def mu_power_float(dim: Union[SphereDim, int], alphas: Sequence[Number]) -> float:
-    """Floating-point path for mu_power_integral, via log-Gamma only."""
+    """Floating-point path for mu_power_integral, via log-Gamma only.
+
+    Raises DomainError for exponents so large that the log-Gamma terms
+    cancel past a 1e-10 relative error.
+    """
     dim = as_dim(dim)
     alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
-    log = math.log(2.0) + 0.5 * (dim.D + 1) * math.log(math.pi)
-    for a in alphas:
-        log += math.lgamma(1.0 + a / 2.0)
-    log -= math.lgamma((dim.D + 1 + math.fsum(alphas)) / 2.0)
-    return _exp_normal(log)
+    terms = [math.log(2.0), 0.5 * (dim.D + 1) * math.log(math.pi)]
+    terms += [math.lgamma(1.0 + a / 2.0) for a in alphas]
+    terms.append(-math.lgamma((dim.D + 1 + math.fsum(alphas)) / 2.0))
+    return _exp_of_sum(terms)
 
 
 def reduction_rhs(

@@ -2,9 +2,9 @@
 
 Uniform sampling on S^D, Monte Carlo integration, a deterministic nested
 Gauss-Legendre quadrature for integrands that depend only on the polar
-radii, and exact polynomial integration.  Everything here deliberately
-avoids the closed-form evaluators it is meant to check; even the Monte
-Carlo volume normalization uses its own log-Gamma float formula.
+radii.  Everything here deliberately avoids the closed-form evaluators it
+is meant to check; even the Monte Carlo volume normalization uses its own
+log-Gamma float formula.
 
 Reproducibility: the random stream is numpy's PCG64 as wrapped by
 numpy.random.default_rng(seed) (numpy >= 1.24), consumed in fixed-size
@@ -16,6 +16,7 @@ bit-for-bit on one platform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,13 +24,17 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .exactpi import DomainError, PiRational
-from .integrals import SphereDim, as_dim, dirichlet_signed
+from .exactpi import DomainError
+from .integrals import SphereDim, as_dim
 
 _CHUNK = 1 << 17
 # target element count per evaluation block in the quadrature grid sweep
 _BLOCK_ELEMS = 1 << 19
 _MAX_QUAD_D = 9  # quadrature dimension is n, so this caps the grid at 4 axes
+# refined-grid budget: leggauss solves a 2N x 2N eigenproblem per axis, and
+# the grid holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
+_MAX_QUAD_AXIS_NODES = 2048
+_MAX_QUAD_GRID_NODES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,10 @@ def _volume_float(dim: SphereDim) -> float:
     # log-Gamma route, independent of the exact evaluators this module checks
     log = math.log(2.0) + 0.5 * (dim.D + 1) * math.log(math.pi)
     log -= math.lgamma((dim.D + 1) / 2.0)
-    return math.exp(log)
+    vol = math.exp(log)
+    if vol < sys.float_info.min:  # a zero normalization would zero the estimate
+        raise OverflowError("value is below the double-precision range")
+    return vol
 
 
 def _batch_from_xs(dim: SphereDim, xs: np.ndarray) -> PointBatch:
@@ -163,8 +171,11 @@ def mc_integrate(
     mean (zero for a constant integrand).  The variance comes from
     per-chunk centred sums of squares merged by the pairwise update of
     Chan, Golub and LeVeque (1983), so a large mean cannot cancel it away.
+    Raises OverflowError, before sampling, when V_D is below the normal
+    double range.
     """
     dim = as_dim(dim)
+    vol = _volume_float(dim)
     total = 0.0
     count = 0
     run_mean = 0.0
@@ -194,7 +205,6 @@ def mc_integrate(
         count += m
     mean = total / count
     std_err = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    vol = _volume_float(dim)
     return OracleEstimate(
         value=vol * mean,
         error=vol * std_err,
@@ -344,6 +354,9 @@ def quad_integrate(
     that grid at most four axes.  The estimate is the refined pass
     I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
     converged result never reports a zero bound.
+
+    Refuses up front, with ValueError, a refined grid past the budget:
+    2N <= 2048 nodes per axis and (2N)^n <= 2^24 nodes in all.
     """
     dim = as_dim(dim)
     if dim.D > _MAX_QUAD_D:
@@ -355,8 +368,15 @@ def quad_integrate(
         raise TypeError("nodes_per_axis must be an integer")
     if nodes_per_axis < 2:
         raise ValueError("nodes_per_axis must be >= 2")
+    refined = 2 * nodes_per_axis
+    if refined > _MAX_QUAD_AXIS_NODES or refined ** dim.n > _MAX_QUAD_GRID_NODES:
+        raise ValueError(
+            f"nodes_per_axis {nodes_per_axis} on S^{dim.D} is past the quadrature budget: "
+            f"its refined grid of {refined}^{dim.n} nodes may have at most "
+            f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"
+        )
     coarse, count_coarse = _quad_tensor(dim, f, nodes_per_axis)
-    fine, count_fine = _quad_tensor(dim, f, 2 * nodes_per_axis)
+    fine, count_fine = _quad_tensor(dim, f, refined)
     bound = abs(fine - coarse) + 1e-13 * abs(fine)
     return OracleEstimate(
         value=fine,
@@ -364,28 +384,6 @@ def quad_integrate(
         samples_or_nodes=count_coarse + count_fine,
         method="quad",
     )
-
-
-def poly_integrate(
-    n: int, poly: Mapping[Sequence[int], Union[int, Fraction]]
-) -> PiRational:
-    """Exact integral over S^n of a polynomial in the embedding coordinates.
-
-    poly maps exponent tuples (length n+1, non-negative ints) to rational
-    coefficients.  Linearity over the signed monomial integrals; odd
-    monomials drop out exactly.
-    """
-    total = PiRational(Fraction(0))
-    for exps in sorted(poly):  # fixed term order, deterministic accumulation
-        coeff = poly[exps]
-        if isinstance(coeff, float):
-            raise TypeError(
-                f"coefficient for {exps} is a float; exact integration needs int or Fraction"
-            )
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
-            raise TypeError(f"bad coefficient {coeff!r} for {exps}")
-        total = total + dirichlet_signed(n, tuple(exps)) * Fraction(coeff)
-    return total
 
 
 # ---------------------------------------------------------------------------

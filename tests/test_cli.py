@@ -233,6 +233,10 @@ def test_exit_usage_errors(tmp_path, capsys):
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "100000000"],
         ["integrate-poly", "--n", "0", "--file", str(f)],  # 3 exponents per line for n = 0
         ["sample", "--D", "2", "--seed", "-1"],
+        # quadrature grids past the budget
+        ["mu-power", "--D", "3", "--alpha", "2.5,0", "--verify", "--oracle", "quad",
+         "--nodes", "100000"],
+        ["volume", "--D", "9", "--verify", "--oracle", "quad", "--nodes", "33"],
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)
@@ -254,10 +258,14 @@ def test_exit_domain_errors(capsys):
         ["reduce", "--D", "2", "--alpha", "-2"],
         ["sample", "--D", "0"],
         ["fluid", "--D", "399", "--omega", ",".join(["0.995"] * 200)],  # prod (1 - w^2) too
+        # exponents whose log-Gamma terms cancel on the floating path
+        ["dirichlet", "--n", "1", "--alpha", "1e300,0", "--abs"],
+        ["mu-power", "--D", "3", "--alpha", "1e20,0"],
     ]
     for argv in cases:
         code, out, err = run(argv, capsys)
         assert code == 2, argv
+        assert out == "", argv
         assert err.startswith("error:"), argv
 
 
@@ -336,6 +344,65 @@ def test_verify_mc_paths(capsys):
         capsys,
     )
     assert code == 0 and report["status"] == "ok"
+
+
+# -- imports ----------------------------------------------------------------
+
+_TRACK_NUMPY = """
+import contextlib, io, json, sys
+import sphereint
+from sphereint.cli import main
+log = [["import sphereint", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    log.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(log))
+"""
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    f = tmp_path / "p.poly"
+    f.write_text("1/2 2 2 0\n3 0 0 0\n")
+    exact = [
+        ["volume", "--D", "4"],
+        ["dirichlet", "--n", "2", "--alpha", "2,2,0", "--signed"],
+        ["dirichlet", "--n", "2", "--alpha", "0.5,0,0", "--abs", "--json"],
+        ["mu-power", "--D", "5", "--alpha", "2,0,-1"],
+        ["reduce", "--D", "5", "--alpha", "1.5,0,2"],
+        ["fluid", "--D", "2", "--omega", "0.6"],
+        ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series"],
+        ["integrate-poly", "--n", "2", "--file", str(f)],
+        ["volume", "--D", "0"],  # a refusal
+    ]
+    oracle = [
+        ["volume", "--D", "4", "--verify", "--samples", "1000"],
+        ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--oracle", "quad"],
+        ["sample", "--D", "2", "--count", "3"],
+    ]
+    r = subprocess.run([sys.executable, "-c", _TRACK_NUMPY, json.dumps(exact + oracle)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    log = json.loads(r.stdout)
+    assert log[0] == ["import sphereint", None, False]
+    assert log[1:len(exact)] == [[argv, 0, False] for argv in exact[:-1]]
+    assert log[len(exact)] == [exact[-1], 2, False]
+    assert log[len(exact) + 1:] == [[argv, 0, True] for argv in oracle]
+
+
+def test_public_names_resolve():
+    import sphereint
+    import sphereint.oracle
+
+    star = {}
+    exec("from sphereint import *", star)
+    assert set(sphereint.__all__) <= set(dir(sphereint))
+    for name in sphereint.__all__:
+        assert star[name] is getattr(sphereint, name)
+    for name in ("mc_integrate", "IntegrandError", "sample_batch"):
+        assert star[name] is getattr(sphereint.oracle, name)
+    with pytest.raises(AttributeError):
+        sphereint.no_such_name
 
 
 # -- byte determinism through the real entry point ---------------------------

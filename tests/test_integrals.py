@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,25 @@ def test_underflow_is_reported_on_both_paths():
         to_float(dirichlet_abs(3, [800] * 4))
     with pytest.raises(OverflowError, match="below the double-precision range"):
         dirichlet_abs_float(3, [800.0] * 4)
+
+
+def test_float_paths_refuse_cancelling_log_gamma_terms():
+    # at a = 1e20 the log-Gamma terms are ~1e21 and their double sum cancels
+    # to 0, so exp gives 1.0 where the true value is ~5.0e-10
+    for call in (lambda: dirichlet_abs_float(1, [1e20, 0.0]),
+                 lambda: dirichlet_abs(1, [1e20, 0.0]),
+                 lambda: mu_power_float(3, [1e20, 0.0]),
+                 lambda: reduction_rhs(3, [1e20, 0.0])):
+        with pytest.raises(DomainError, match="terms cancel"):
+            call()
+    # exponents still accepted are as accurate as the 1e-10 estimate says
+    G = mpmath.gamma
+    with mpmath.workdps(40):
+        for a in (1e3, 1e4, 3e4):
+            exact = 2 * mpmath.sqrt(mpmath.pi) * G((1 + a) / 2) / G(1 + a / 2)
+            assert dirichlet_abs_float(1, [a, 0.0]) == pytest.approx(float(exact), rel=1e-10)
+            exact = 2 * mpmath.pi**2 * G(1 + a / 2) / G(2 + a / 2)
+            assert mu_power_float(3, [a, 0.0]) == pytest.approx(float(exact), rel=1e-10)
 
 
 def test_mode_consistency_spot_checks():

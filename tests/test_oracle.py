@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from sphereint.exactpi import DomainError, PiRational, to_float
-from sphereint.integrals import SphereDim, mu_power_float, sphere_volume
+from sphereint.integrals import SphereDim, mu_power_float, poly_integrate, sphere_volume
 from sphereint.oracle import (
     IntegrandError,
     MCConfig,
     mc_integrate,
     monomial_values,
     mu_power_values,
-    poly_integrate,
     polynomial_values,
     quad_integrate,
     sample_batch,
@@ -111,6 +110,12 @@ def test_mc_error_survives_a_large_mean():
         assert est.error == pytest.approx(ref, rel=1e-6)
 
 
+def test_mc_refuses_an_underflowing_normalization():
+    # V_2000 is below the double range; a 0.0 normalization would report 0 +- 0
+    with pytest.raises(OverflowError, match="below the double-precision range"):
+        mc_integrate(2000, lambda b: np.ones(len(b)), MCConfig(0, 100))
+
+
 def test_mc_frozen_regression():
     # integral of |x_1|^0.5 over S^2; value pinned to the PCG64 stream
     est = mc_integrate(
@@ -191,6 +196,20 @@ def test_quad_refuses_high_dim_and_bad_nodes():
         quad_integrate(3, f, nodes_per_axis=1)
     with pytest.raises(TypeError):
         quad_integrate(3, f, nodes_per_axis=16.0)
+
+
+def test_quad_refuses_a_grid_past_its_budget():
+    # refused before any node is built: leggauss(100000), the coarse pass
+    # alone, would need a 75 GiB companion matrix
+    calls = []
+    f = lambda mus: calls.append(len(mus)) or np.ones(mus.shape[0])
+    for D, nodes in ((3, 100_000), (2, 1025), (9, 33), (7, 129)):
+        with pytest.raises(ValueError, match="past the quadrature budget"):
+            quad_integrate(D, f, nodes_per_axis=nodes)
+    assert calls == []
+    # the largest grids inside the budget still run
+    assert quad_integrate(2, f, nodes_per_axis=1024).value == pytest.approx(4 * math.pi)
+    assert quad_integrate(9, f, nodes_per_axis=32).samples_or_nodes == 32**4 + 64**4
 
 
 def test_quad_integrand_error_carries_radii():
