@@ -2,6 +2,7 @@
 brute-force oracles that re-derive every formula numerically."""
 
 from .exactpi import (
+    BudgetError,
     DomainError,
     PiRational,
     gamma_half,
@@ -49,6 +50,7 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
+    "BudgetError",
     "DomainError",
     "PiRational",
     "gamma_half",

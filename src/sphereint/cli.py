@@ -12,7 +12,8 @@ Usage errors are refused before any integration runs: a missing, unknown
 or conflicting flag, a flag value out of range (--samples, --count and
 --digits >= 1, --nodes >= 2, --seed and --kmax >= 0, --sigma finite and
 > 0), a --kmax past the series caps, a --nodes past the quadrature
-budget, and an unreadable or malformed polynomial file.
+budget, an integer exponent or D whose exact Gamma argument is past 25000,
+and an unreadable or malformed polynomial file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .exactpi import DomainError, PiRational, to_float
+from .exactpi import BudgetError, DomainError, PiRational, to_float
 from .fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 from .integrals import (
     SphereDim,
@@ -279,12 +280,7 @@ def _run(spec: _Spec, args, out) -> int:
             sig = _sigma_of(abs(decimal - ov), oe, decimal)
             ok = sig <= args.sigma
         else:
-            try:
-                est = oracle.quad_integrate(spec.quad_dim or spec.dim, spec.quad_f, args.nodes)
-            except (DomainError, oracle.IntegrandError):
-                raise
-            except ValueError as e:  # --nodes past the quadrature budget
-                raise _UsageError(str(e))
+            est = oracle.quad_integrate(spec.quad_dim or spec.dim, spec.quad_f, args.nodes)
             ov, oe = est.value * spec.quad_scale, est.error * abs(spec.quad_scale)
             sig = abs(decimal - ov) / oe
             ok = sig <= 1.0
@@ -346,12 +342,7 @@ def _fluid(args) -> _Spec:
     if args.series and args.verify:
         raise _UsageError("--series and --verify are separate checks; pick one per run")
     if args.series:
-        try:
-            res = fluid_series(params, args.kmax)
-        except DomainError:
-            raise
-        except ValueError as e:  # --kmax past the series work caps
-            raise _UsageError(str(e))
+        res = fluid_series(params, args.kmax)
         spec.inputs.update(oracle="series", kmax=args.kmax)
         gap = abs(res.value - spec.closed) / abs(spec.closed)
         spec.second = (res.value, res.last_term_magnitude, gap, [
@@ -459,7 +450,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     except (_UsageError, DomainError, ValueError, TypeError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 1 if isinstance(e, _UsageError) else 2
+        return 1 if isinstance(e, (_UsageError, BudgetError)) else 2
 
 
 if __name__ == "__main__":

@@ -21,6 +21,26 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of the operation."""
 
 
+class BudgetError(ValueError):
+    """An input is past a documented work or memory bound; refused before any work."""
+
+
+# Largest argument the exact Gamma accepts.  Gamma(a) is built from
+# factorials of up to 2a, and the Fraction arithmetic on them grows about
+# quadratically with a: at this cap the slowest closed form found takes
+# about 1 s on a 2-vCPU x86-64 host.
+_MAX_GAMMA_ARG = 25_000
+
+
+def check_gamma_arg(num: int, den: int = 1) -> None:
+    """Raise BudgetError when the exact Gamma argument num/den is past the cap."""
+    if num > _MAX_GAMMA_ARG * den:  # integer compare: this runs on every exact call
+        raise BudgetError(
+            f"exact Gamma argument {Fraction(num, den)} is past the cap of "
+            f"{_MAX_GAMMA_ARG}: its factorials would take too long to build"
+        )
+
+
 def _as_half_integer(a: int | Fraction) -> Fraction:
     """Validate that a is an exact integer or half-integer and return it as a Fraction."""
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
@@ -162,13 +182,14 @@ def gamma_half(a: int | Fraction) -> PiRational:
 
     Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)!/(4^k k!) * sqrt(pi); both
     follow from Gamma(1) = 1, Gamma(1/2) = sqrt(pi) and the recurrence
-    Gamma(a+1) = a Gamma(a).
+    Gamma(a+1) = a Gamma(a).  Raises BudgetError for a > 25000.
     """
     a = _as_half_integer(a)
     if a <= 0:
         raise DomainError(
             f"gamma_half({a}) hits a pole or the negative axis; argument must be positive"
         )
+    check_gamma_arg(a.numerator, a.denominator)
     if a.denominator == 1:
         return PiRational(Fraction(math.factorial(a.numerator - 1)))
     k = (a.numerator - 1) // 2  # a = k + 1/2

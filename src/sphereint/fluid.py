@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-from .exactpi import DomainError, to_float
+from .exactpi import BudgetError, DomainError, to_float
 from .integrals import SphereDim, as_dim, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
@@ -103,8 +103,8 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
 
     Refuses when max w_j^2 > 0.99: convergence goes as (max w_j^2)^k, so
     the shell count needed there is enormous; use fluid_closed instead.
-    Refuses up front, with ValueError, a truncation order above 1000 or
-    one whose multi-index count C(order + r, r) exceeds 10^6.
+    Refuses up front, with BudgetError (a ValueError), a truncation order
+    above 1000 or one whose multi-index count C(order + r, r) exceeds 10^6.
     """
     if isinstance(truncation_order, bool) or not isinstance(truncation_order, int):
         raise TypeError("truncation_order must be an integer")
@@ -112,7 +112,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
         raise ValueError("truncation_order must be >= 0")
     K, r = truncation_order, params.dim.n_angles
     if K > _SERIES_MAX_ORDER or math.comb(K + r, r) > _SERIES_MAX_TERMS:
-        raise ValueError(
+        raise BudgetError(
             f"truncation_order {K} over {r} rotation circles is past the series caps: "
             f"order <= {_SERIES_MAX_ORDER} and C(order + {r}, {r}) <= {_SERIES_MAX_TERMS} terms"
         )

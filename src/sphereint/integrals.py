@@ -16,7 +16,8 @@ sphere: integral over S^D of prod mu_j^(a_j) equals
 pi^(n+eps) * integral over S^n of prod |mu_j|^(a_j + 1), zero-padded to
 all n + 1 coordinates.  reduction_rhs evaluates that right-hand side.
 poly_integrate extends the signed monomial integral linearly to
-polynomials with rational coefficients.
+polynomials with rational coefficients.  The exact path refuses, with
+BudgetError, a Gamma argument above 25000 before it builds any factorial.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exactpi import DomainError, PiRational, gamma_half, pi_power
+from .exactpi import DomainError, PiRational, check_gamma_arg, gamma_half, pi_power
 
 Number = Union[int, float]
 
@@ -135,6 +136,7 @@ def dirichlet_signed(n: int, alphas: Sequence[int]) -> PiRational:
 
 
 def _dirichlet_exact(n: int, alphas: Sequence[int]) -> PiRational:
+    check_gamma_arg(n + 1 + sum(alphas), 2)  # the largest argument
     out = PiRational(Fraction(2))
     for a in alphas:
         out = out * gamma_half(Fraction(1 + a, 2))
@@ -226,6 +228,7 @@ def mu_power_integral(
     dim = as_dim(dim)
     alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
     if _all_int(alphas):
+        check_gamma_arg(dim.D + 1 + sum(alphas), 2)  # the largest argument
         out = PiRational(Fraction(2), dim.D + 1)
         for a in alphas:
             out = out * gamma_half(Fraction(2 + a, 2))
@@ -284,6 +287,7 @@ def term_integral(dim: Union[SphereDim, int], ks: Sequence[int]) -> PiRational:
     for k in ks:
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError(f"term orders must be non-negative integers, got {k!r}")
+    check_gamma_arg(dim.D + 1 + 2 * sum(ks), 2)  # bounds every k_j! too
     q = Fraction(2)
     for k in ks:
         q *= math.factorial(k)

@@ -19,12 +19,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .exactpi import DomainError
+from .exactpi import BudgetError, DomainError
 from .integrals import SphereDim, as_dim
 
 _CHUNK = 1 << 17
@@ -68,15 +68,32 @@ class SpherePoint:
 
 @dataclass(frozen=True)
 class PointBatch:
-    """Vectorized sample block; rows of xs/mus/phis line up."""
+    """Vectorized sample block; rows of xs/mus/phis line up.
+
+    Only xs is stored: mus and phis are computed from xs on first access
+    and cached, so an integrand that reads xs alone never pays for them.
+    """
 
     dim: SphereDim
     xs: np.ndarray
-    mus: np.ndarray
-    phis: np.ndarray
 
     def __len__(self) -> int:
         return self.xs.shape[0]
+
+    @cached_property
+    def mus(self) -> np.ndarray:
+        k = self.dim.n_angles
+        pair_mus = np.hypot(self.xs[:, 0 : 2 * k : 2], self.xs[:, 1 : 2 * k : 2])
+        if self.dim.eps == 0:
+            return np.column_stack([pair_mus, self.xs[:, self.dim.D]])
+        return pair_mus
+
+    @cached_property
+    def phis(self) -> np.ndarray:
+        k = self.dim.n_angles
+        return np.mod(
+            np.arctan2(self.xs[:, 1 : 2 * k : 2], self.xs[:, 0 : 2 * k : 2]), 2.0 * math.pi
+        )
 
     def point(self, i: int) -> SpherePoint:
         return SpherePoint(
@@ -119,19 +136,6 @@ def _volume_float(dim: SphereDim) -> float:
     return vol
 
 
-def _batch_from_xs(dim: SphereDim, xs: np.ndarray) -> PointBatch:
-    k = dim.n_angles
-    even = xs[:, 0 : 2 * k : 2]
-    odd = xs[:, 1 : 2 * k : 2]
-    pair_mus = np.hypot(even, odd)
-    phis = np.mod(np.arctan2(odd, even), 2.0 * math.pi)
-    if dim.eps == 0:
-        mus = np.column_stack([pair_mus, xs[:, dim.D]])
-    else:
-        mus = pair_mus
-    return PointBatch(dim=dim, xs=xs, mus=mus, phis=phis)
-
-
 def _iter_xs_chunks(dim: SphereDim, config: MCConfig) -> Iterator[np.ndarray]:
     # Gaussian direction trick: a standard normal vector normalized to unit
     # length is uniform on the sphere; no rejection step needed.
@@ -148,15 +152,7 @@ def _iter_xs_chunks(dim: SphereDim, config: MCConfig) -> Iterator[np.ndarray]:
 def sample_batch(dim: Union[SphereDim, int], config: MCConfig) -> PointBatch:
     """All requested samples as one PointBatch (same stream as mc_integrate)."""
     dim = as_dim(dim)
-    parts = [_batch_from_xs(dim, xs) for xs in _iter_xs_chunks(dim, config)]
-    if len(parts) == 1:
-        return parts[0]
-    return PointBatch(
-        dim=dim,
-        xs=np.concatenate([p.xs for p in parts]),
-        mus=np.concatenate([p.mus for p in parts]),
-        phis=np.concatenate([p.phis for p in parts]),
-    )
+    return PointBatch(dim, np.concatenate(list(_iter_xs_chunks(dim, config))))
 
 
 def mc_integrate(
@@ -181,7 +177,7 @@ def mc_integrate(
     run_mean = 0.0
     m2 = 0.0  # sum of squared deviations from run_mean over the chunks so far
     for xs in _iter_xs_chunks(dim, config):
-        batch = _batch_from_xs(dim, xs)
+        batch = PointBatch(dim, xs)
         vals = np.asarray(f(batch), dtype=float)
         if vals.shape != (len(batch),):
             raise ValueError(
@@ -227,7 +223,9 @@ def _unit_nodes(npoints: int):
     x, w = np.polynomial.legendre.leggauss(npoints)
     s = 0.5 * (x + 1.0)
     ds = 0.5 * w
-    t = s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+    # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
+    # or theta would leave its axis and cos(theta) turn negative
+    t = np.clip(s * s * s * (10.0 - 15.0 * s + 6.0 * s * s), 0.0, 1.0)
     dt = 30.0 * s * s * (1.0 - s) ** 2
     return t, ds * dt
 
@@ -307,37 +305,38 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
         pos_inner.append(prefix * expand(cos, j))
         prefix = prefix * expand(sin, j)
         w_inner = w_inner * expand(w, j)
-    pos_last = prefix
+    pos_inner.append(prefix)
 
+    # chain position c -> mu column: in order for odd D; for even D the
+    # sign-carrying position 0 is the last column
+    columns = list(range(n + 1)) if dim.eps == 1 else [n] + list(range(n))
     block = max(1, _BLOCK_ELEMS // inner_size)
+    # one row-major grid and weight buffer for every block; f sees a prefix
+    buf = np.empty((block * inner_size, n + 1))
+    wbuf = np.empty(block * inner_size)
     total = 0.0
     count = 0
     for start in range(0, npoints, block):
         stop = min(npoints, start + block)
         b = stop - start
+        size = b * inner_size
         lead = (b,) + tuple(1 for _ in range(ninner))
+        full = (b,) + inner_shape
         c0 = cos0[start:stop].reshape(lead)
         s0 = sin0[start:stop].reshape(lead)
-        full = (b,) + inner_shape
-        cols = [np.broadcast_to(c0, full)]
-        for pos in pos_inner:
-            cols.append(s0 * pos)
-        cols.append(np.broadcast_to(s0, full) if ninner == 0 else s0 * pos_last)
-        # chain position -> mu column order
-        if dim.eps == 1:
-            ordered = cols
-        else:
-            ordered = cols[1:] + cols[:1]
-        mus = np.stack([np.asarray(c).ravel() for c in ordered], axis=1)
-        weights = (w0[start:stop].reshape(lead) * w_inner).ravel()
+        mus = buf[:size]
+        grid = mus.reshape(full + (n + 1,))
+        np.copyto(grid[..., columns[0]], c0)
+        for c, pos in enumerate(pos_inner, start=1):
+            np.multiply(s0, pos, out=grid[..., columns[c]])
+        weights = wbuf[:size]
+        np.multiply(w0[start:stop].reshape(lead), w_inner, out=weights.reshape(full))
         vals = np.asarray(f(mus), dtype=float)
-        if vals.shape != (mus.shape[0],):
-            raise ValueError(
-                f"integrand returned shape {vals.shape}, expected ({mus.shape[0]},)"
-            )
+        if vals.shape != (size,):
+            raise ValueError(f"integrand returned shape {vals.shape}, expected ({size},)")
         _require_finite_grid(vals, mus)
         total += float(np.dot(vals, weights))
-        count += mus.shape[0]
+        count += size
     return (2.0 * math.pi) ** dim.n_angles * total, count
 
 
@@ -348,15 +347,16 @@ def quad_integrate(
 ) -> OracleEstimate:
     """Deterministic quadrature of a radii-only integrand over S^D.
 
-    f receives an (M, n+1) array of polar radii and returns one float per
-    row.  The circle angles are integrated analytically, leaving an
+    f receives a row-major (M, n+1) array of polar radii and returns one
+    float per row.  The array is a view of a buffer that the next block
+    of the grid overwrites, so an f that keeps it must copy it.  The circle angles are integrated analytically, leaving an
     n-dimensional tensor-product Gauss-Legendre grid; the cap D <= 9 keeps
     that grid at most four axes.  The estimate is the refined pass
     I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
     converged result never reports a zero bound.
 
-    Refuses up front, with ValueError, a refined grid past the budget:
-    2N <= 2048 nodes per axis and (2N)^n <= 2^24 nodes in all.
+    Refuses up front, with BudgetError (a ValueError), a refined grid past
+    the budget: 2N <= 2048 nodes per axis and (2N)^n <= 2^24 nodes in all.
     """
     dim = as_dim(dim)
     if dim.D > _MAX_QUAD_D:
@@ -370,7 +370,7 @@ def quad_integrate(
         raise ValueError("nodes_per_axis must be >= 2")
     refined = 2 * nodes_per_axis
     if refined > _MAX_QUAD_AXIS_NODES or refined ** dim.n > _MAX_QUAD_GRID_NODES:
-        raise ValueError(
+        raise BudgetError(
             f"nodes_per_axis {nodes_per_axis} on S^{dim.D} is past the quadrature budget: "
             f"its refined grid of {refined}^{dim.n} nodes may have at most "
             f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -237,9 +238,13 @@ def test_exit_usage_errors(tmp_path, capsys):
         ["mu-power", "--D", "3", "--alpha", "2.5,0", "--verify", "--oracle", "quad",
          "--nodes", "100000"],
         ["volume", "--D", "9", "--verify", "--oracle", "quad", "--nodes", "33"],
+        # an exact Gamma argument past the cap: its factorial would never finish
+        ["mu-power", "--D", "3", "--alpha", "100000000,0"],
     ]
     for argv in cases:
+        start = time.perf_counter()
         code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error:"), argv

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereint.exactpi import DomainError, PiRational, pi_power, to_float
+from sphereint.exactpi import (
+    BudgetError,
+    DomainError,
+    PiRational,
+    gamma_half,
+    pi_power,
+    to_float,
+)
 from sphereint.integrals import (
     SphereDim,
     dirichlet_abs,
@@ -230,6 +238,24 @@ def test_underflow_is_reported_on_both_paths():
         to_float(dirichlet_abs(3, [800] * 4))
     with pytest.raises(OverflowError, match="below the double-precision range"):
         dirichlet_abs_float(3, [800.0] * 4)
+
+
+def test_exact_path_refuses_a_gamma_argument_past_the_cap():
+    # each is refused before its first factorial is built: 10^8! never finishes
+    for call in (lambda: gamma_half(Fraction(50_001, 2)),
+                 lambda: sphere_volume(10**8),
+                 lambda: mu_power_integral(3, (10**8, 0)),
+                 lambda: dirichlet_signed(1, (10**8, 0)),
+                 lambda: dirichlet_abs(1, (10**8, 0)),
+                 lambda: reduction_rhs(3, (10**8, 0)),
+                 lambda: term_integral(3, (10**8, 0))):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="past the cap of 25000"):
+            call()
+        assert time.perf_counter() - start < 0.5
+    # the cap itself, and the largest benchmark case (Gamma argument 17501)
+    assert gamma_half(25_000) == PiRational(Fraction(math.factorial(24_999)))
+    assert mu_power_integral(20001, tuple(j % 4 for j in range(10001))).q > 0
 
 
 def test_float_paths_refuse_cancelling_log_gamma_terms():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from sphereint.exactpi import DomainError, PiRational, to_float
+from sphereint.fluid import FluidParams, gamma_power_values
 from sphereint.integrals import SphereDim, mu_power_float, poly_integrate, sphere_volume
 from sphereint.oracle import (
+    _CHUNK,
     IntegrandError,
     MCConfig,
     mc_integrate,
@@ -15,6 +17,7 @@ from sphereint.oracle import (
     polynomial_values,
     quad_integrate,
     sample_batch,
+    _unit_nodes,
 )
 
 
@@ -125,6 +128,38 @@ def test_mc_frozen_regression():
     assert est.error == 0.0029624983642204507
 
 
+def _chart(dim, xs):
+    # the sampler's polar chart, written out as a reference for the lazy one
+    k = dim.n_angles
+    even, odd = xs[:, 0 : 2 * k : 2], xs[:, 1 : 2 * k : 2]
+    mus = np.hypot(even, odd)
+    if dim.eps == 0:
+        mus = np.column_stack([mus, xs[:, dim.D]])
+    return mus, np.mod(np.arctan2(odd, even), 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("D", [4, 5])
+def test_sample_batch_chart_matches_per_chunk_chart(D):
+    dim = SphereDim(D)
+    batch = sample_batch(dim, MCConfig(seed=77, samples=_CHUNK + 5))
+    parts = [_chart(dim, batch.xs[:_CHUNK]), _chart(dim, batch.xs[_CHUNK:])]
+    assert batch.mus.tobytes() == np.concatenate([m for m, _ in parts]).tobytes()
+    assert batch.phis.tobytes() == np.concatenate([p for _, p in parts]).tobytes()
+
+
+def test_mc_xs_only_integrand_charts_nothing():
+    batches = []
+
+    def f(batch):
+        batches.append(batch)
+        return batch.xs[:, 0] ** 2
+
+    mc_integrate(4, f, MCConfig(seed=1, samples=1000))
+    assert batches and all(
+        "mus" not in b.__dict__ and "phis" not in b.__dict__ for b in batches
+    )
+
+
 def test_mc_integrand_error_carries_point():
     def bad(batch):
         out = np.ones(len(batch))
@@ -186,6 +221,49 @@ def test_quad_cross_checks_mc():
         MCConfig(seed=4242, samples=400_000),
     )
     assert abs(q.value - m.value) <= 3 * m.error + q.error
+
+
+@pytest.mark.parametrize(
+    "kind,D,params,nodes,value,error",
+    [
+        # the grid's last bits, pinned: a column-major grid flips both fluid cases
+        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63ddp+5", "0x1.0c96bc3eb3f3ep-18"),
+        ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036bc8p+5", "0x1.766c2bd7c657cp-17"),
+        # even D: the sign-carrying chain position is the last mu column
+        ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f337p-1", "0x1.9feaeca4597d3p-2"),
+    ],
+)
+def test_quad_frozen_bits(kind, D, params, nodes, value, error):
+    if kind == "fluid":
+        fluid = FluidParams(D, params)
+        f = lambda mus: gamma_power_values(mus, fluid)
+    else:
+        f = lambda mus: mu_power_values(mus, params)
+    est = quad_integrate(D, f, nodes_per_axis=nodes)
+    assert (est.value.hex(), est.error.hex()) == (value, error)
+
+
+def test_quad_integrand_gets_a_row_major_grid():
+    seen = []
+
+    def f(mus):
+        seen.append(mus.flags["C_CONTIGUOUS"])
+        return np.ones(mus.shape[0])
+
+    quad_integrate(9, f, nodes_per_axis=8)
+    quad_integrate(4, f, nodes_per_axis=8)
+    assert seen and all(seen)
+
+
+def test_quad_nodes_stay_on_their_axis():
+    # unclipped, the smootherstep rounds past 1 at some node counts from 555
+    # on, and a fractional power of the then negative cos(theta) is NaN
+    for npoints in (300, 555, 600, 1024):
+        t, _ = _unit_nodes(npoints)
+        assert t.min() >= 0.0 and t.max() <= 1.0
+    alphas = (2.5, 0)
+    est = quad_integrate(3, lambda mus: mu_power_values(mus, alphas), nodes_per_axis=300)
+    assert abs(est.value - mu_power_float(3, alphas)) <= est.error
 
 
 def test_quad_refuses_high_dim_and_bad_nodes():
