@@ -7,7 +7,6 @@ from .exactpi import (
     PiRational,
     gamma_half,
     pi_power,
-    pochhammer,
     to_float,
 )
 from .integrals import (
@@ -55,7 +54,6 @@ __all__ = [
     "PiRational",
     "gamma_half",
     "pi_power",
-    "pochhammer",
     "to_float",
     "SphereDim",
     "as_dim",
@@ -76,7 +74,6 @@ __all__ = [
     "MCConfig",
     "OracleEstimate",
     "PointBatch",
-    "SpherePoint",
     "mc_integrate",
     "monomial_values",
     "mu_power_values",

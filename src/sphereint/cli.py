@@ -12,8 +12,9 @@ Usage errors are refused before any integration runs: a missing, unknown
 or conflicting flag, a flag value out of range (--samples, --count and
 --digits >= 1, --nodes >= 2, --seed and --kmax >= 0, --sigma finite and
 > 0), a --kmax past the series caps, a --nodes past the quadrature
-budget, an integer exponent or D whose exact Gamma argument is past 25000,
-and an unreadable or malformed polynomial file.
+budget, a sample --count with count * (D+1) past 2^20 coordinates, an
+integer exponent or D whose exact Gamma argument is past 25000, and an
+unreadable or malformed polynomial file.
 """
 
 from __future__ import annotations
@@ -400,32 +401,33 @@ def _cmd_reduce(args, out):
     return 0 if status == "ok" else 3
 
 
+# sample holds every row in memory: at this many coordinates --json peaks
+# at 240-340 MB; the library's sample_batch stays unbounded
+_MAX_SAMPLE_VALUES = 1 << 20
+
+
 def _cmd_sample(args, out):
     dim = SphereDim(args.D)
+    if args.count * (dim.D + 1) > _MAX_SAMPLE_VALUES:
+        raise BudgetError(
+            f"sample --count {args.count} on S^{dim.D} is past the output budget: "
+            f"count * (D+1) may be at most {_MAX_SAMPLE_VALUES} coordinates"
+        )
     oracle = _oracle()
     batch = oracle.sample_batch(dim, oracle.MCConfig(seed=args.seed, samples=args.count))
-    header = (
-        [f"x{i+1}" for i in range(dim.D + 1)]
-        + [f"mu{i+1}" for i in range(dim.n_mu)]
-        + [f"phi{i+1}" for i in range(dim.n_angles)]
-    )
+    # row by row, so the CSV path never holds the whole batch as Python floats
+    rows = ((x.tolist(), m.tolist(), p.tolist())
+            for x, m, p in zip(batch.xs, batch.mus, batch.phis))
     if args.json:
-        points = [
-            {
-                "xs": [float(v) for v in batch.xs[i]],
-                "mus": [float(v) for v in batch.mus[i]],
-                "phis": [float(v) for v in batch.phis[i]],
-            }
-            for i in range(len(batch))
-        ]
         report = _report("sample", {"D": args.D, "seed": args.seed, "count": args.count})
-        report["points"] = points
+        report["points"] = [{"xs": x, "mus": m, "phis": p} for x, m, p in rows]
         out.write(json.dumps(report, sort_keys=True) + "\n")
     else:
+        header = ([f"x{i+1}" for i in range(dim.D + 1)] + [f"mu{i+1}" for i in range(dim.n_mu)]
+                  + [f"phi{i+1}" for i in range(dim.n_angles)])
         out.write(",".join(header) + "\n")
-        for i in range(len(batch)):
-            row = list(batch.xs[i]) + list(batch.mus[i]) + list(batch.phis[i])
-            out.write(",".join(repr(float(v)) for v in row) + "\n")
+        for x, m, p in rows:
+            out.write(",".join(map(repr, x + m + p)) + "\n")
     return 0
 
 

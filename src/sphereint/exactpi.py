@@ -32,15 +32,6 @@ class BudgetError(ValueError):
 _MAX_GAMMA_ARG = 25_000
 
 
-def check_gamma_arg(num: int, den: int = 1) -> None:
-    """Raise BudgetError when the exact Gamma argument num/den is past the cap."""
-    if num > _MAX_GAMMA_ARG * den:  # integer compare: this runs on every exact call
-        raise BudgetError(
-            f"exact Gamma argument {Fraction(num, den)} is past the cap of "
-            f"{_MAX_GAMMA_ARG}: its factorials would take too long to build"
-        )
-
-
 def _as_half_integer(a: int | Fraction) -> Fraction:
     """Validate that a is an exact integer or half-integer and return it as a Fraction."""
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
@@ -189,22 +180,14 @@ def gamma_half(a: int | Fraction) -> PiRational:
         raise DomainError(
             f"gamma_half({a}) hits a pole or the negative axis; argument must be positive"
         )
-    check_gamma_arg(a.numerator, a.denominator)
+    if a.numerator > _MAX_GAMMA_ARG * a.denominator:  # integer compare: runs on every call
+        raise BudgetError(
+            f"exact Gamma argument {a} is past the cap of {_MAX_GAMMA_ARG}: "
+            "its factorials would take too long to build"
+        )
     if a.denominator == 1:
         return PiRational(Fraction(math.factorial(a.numerator - 1)))
     k = (a.numerator - 1) // 2  # a = k + 1/2
     q = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
     return PiRational(q, 1)
 
-
-def pochhammer(a: int | Fraction, k: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+k-1), exactly; empty product for k = 0."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"pochhammer order must be a non-negative integer, got {k!r}")
-    if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
-        raise TypeError(f"pochhammer base must be exact (int or Fraction), got {a!r}")
-    out = Fraction(1)
-    base = Fraction(a)
-    for i in range(k):
-        out *= base + i
-    return out

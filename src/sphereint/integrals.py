@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exactpi import DomainError, PiRational, check_gamma_arg, gamma_half, pi_power
+from .exactpi import DomainError, PiRational, gamma_half, pi_power
 
 Number = Union[int, float]
 
@@ -104,10 +104,24 @@ def _all_int(alphas: Sequence[Number]) -> bool:
     return all(isinstance(a, int) for a in alphas)
 
 
+def _gamma_quotient(m: int, tops: Sequence[int], bottom: int) -> PiRational:
+    """2 pi^(m/2) prod Gamma(t/2) / Gamma(bottom/2), every argument passed doubled.
+
+    Every closed form here has this shape, with bottom its largest argument,
+    so building Gamma(bottom/2) first lets gamma_half's cap refuse before
+    any other factorial is built.
+    """
+    denom = gamma_half(Fraction(bottom, 2))
+    out = PiRational(Fraction(2), m)
+    for t in tops:
+        out = out * gamma_half(Fraction(t, 2))
+    return out / denom
+
+
 def sphere_volume(dim: Union[SphereDim, int]) -> PiRational:
     """Total volume of S^D: 2 pi^((D+1)/2) / Gamma((D+1)/2), exactly."""
     dim = as_dim(dim)
-    return PiRational(Fraction(2), dim.D + 1) / gamma_half(Fraction(dim.D + 1, 2))
+    return _gamma_quotient(dim.D + 1, (), dim.D + 1)
 
 
 def _check_n(n: int) -> int:
@@ -132,15 +146,7 @@ def dirichlet_signed(n: int, alphas: Sequence[int]) -> PiRational:
         )
     if any(a % 2 for a in alphas):
         return PiRational(Fraction(0))
-    return _dirichlet_exact(n, alphas)
-
-
-def _dirichlet_exact(n: int, alphas: Sequence[int]) -> PiRational:
-    check_gamma_arg(n + 1 + sum(alphas), 2)  # the largest argument
-    out = PiRational(Fraction(2))
-    for a in alphas:
-        out = out * gamma_half(Fraction(1 + a, 2))
-    return out / gamma_half(Fraction(n + 1 + sum(alphas), 2))
+    return _gamma_quotient(0, [1 + a for a in alphas], n + 1 + sum(alphas))
 
 
 def poly_integrate(
@@ -173,7 +179,7 @@ def dirichlet_abs(n: int, alphas: Sequence[Number]) -> Union[PiRational, float]:
     n = _check_n(n)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
     if _all_int(alphas):
-        return _dirichlet_exact(n, alphas)
+        return _gamma_quotient(0, [1 + a for a in alphas], n + 1 + sum(alphas))
     return dirichlet_abs_float(n, alphas)
 
 
@@ -228,11 +234,7 @@ def mu_power_integral(
     dim = as_dim(dim)
     alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
     if _all_int(alphas):
-        check_gamma_arg(dim.D + 1 + sum(alphas), 2)  # the largest argument
-        out = PiRational(Fraction(2), dim.D + 1)
-        for a in alphas:
-            out = out * gamma_half(Fraction(2 + a, 2))
-        return out / gamma_half(Fraction(dim.D + 1 + sum(alphas), 2))
+        return _gamma_quotient(dim.D + 1, [2 + a for a in alphas], dim.D + 1 + sum(alphas))
     return mu_power_float(dim, alphas)
 
 
@@ -287,9 +289,8 @@ def term_integral(dim: Union[SphereDim, int], ks: Sequence[int]) -> PiRational:
     for k in ks:
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError(f"term orders must be non-negative integers, got {k!r}")
-    check_gamma_arg(dim.D + 1 + 2 * sum(ks), 2)  # bounds every k_j! too
+    denom = gamma_half(Fraction(dim.D + 1, 2) + sum(ks))  # first: its cap bounds every k_j!
     q = Fraction(2)
     for k in ks:
         q *= math.factorial(k)
-    out = PiRational(q, dim.D + 1)
-    return out / gamma_half(Fraction(dim.D + 1 + 2 * sum(ks), 2))
+    return PiRational(q, dim.D + 1) / denom

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,24 +52,11 @@ class MCConfig:
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    """One sample on S^D: embedding coordinates, polar radii, and angles.
-
-    xs has D+1 entries; mus has n+1 entries with mus[i] >= 0 for the first
-    n+eps of them; phis has n+eps entries in [0, 2 pi).  The chart is
-    x_{2i-1} = mu_i cos(phi_i), x_{2i} = mu_i sin(phi_i), plus for even D
-    the unpaired sign-carrying x_{2n+1} = mu_{n+1}.
-    """
-
-    xs: tuple
-    mus: tuple
-    phis: tuple
-
-
-@dataclass(frozen=True)
 class PointBatch:
-    """Vectorized sample block; rows of xs/mus/phis line up.
+    """Vectorized sample block on S^D; rows of xs/mus/phis line up.
 
+    The chart is x_{2i-1} = mu_i cos(phi_i), x_{2i} = mu_i sin(phi_i) with
+    phi_i in [0, 2 pi), plus for even D the sign-carrying x_{2n+1} = mu_{n+1}.
     Only xs is stored: mus and phis are computed from xs on first access
     and cached, so an integrand that reads xs alone never pays for them.
     """
@@ -95,20 +82,13 @@ class PointBatch:
             np.arctan2(self.xs[:, 1 : 2 * k : 2], self.xs[:, 0 : 2 * k : 2]), 2.0 * math.pi
         )
 
-    def point(self, i: int) -> SpherePoint:
-        return SpherePoint(
-            xs=tuple(float(v) for v in self.xs[i]),
-            mus=tuple(float(v) for v in self.mus[i]),
-            phis=tuple(float(v) for v in self.phis[i]),
-        )
-
 
 class IntegrandError(ValueError):
-    """An integrand returned a non-finite value; carries the offending point."""
+    """An integrand returned a non-finite value; row copies its xs or radii input row."""
 
-    def __init__(self, message: str, point: SpherePoint):
+    def __init__(self, message: str, row: np.ndarray):
         super().__init__(message)
-        self.point = point
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -183,13 +163,7 @@ def mc_integrate(
             raise ValueError(
                 f"integrand returned shape {vals.shape}, expected ({len(batch)},)"
             )
-        finite = np.isfinite(vals)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            point = batch.point(i)
-            raise IntegrandError(
-                f"integrand returned {vals[i]!r} at sample {count + i}", point
-            )
+        _require_finite(vals, xs, count)
         chunk_sum = float(np.sum(vals))
         m = len(batch)
         chunk_mean = chunk_sum / m
@@ -267,12 +241,13 @@ def _axis_data(dim: SphereDim, npoints: int):
     return axes
 
 
-def _require_finite_grid(vals: np.ndarray, mus: np.ndarray) -> None:
+def _require_finite(vals: np.ndarray, rows: np.ndarray, first: Optional[int] = None) -> None:
+    # first is the MC sample index of rows[0]; None marks quadrature nodes
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))
-        point = SpherePoint(xs=(), mus=tuple(float(v) for v in mus[i]), phis=())
-        raise IntegrandError(f"integrand returned {vals[i]!r} at a quadrature node", point)
+        where = "a quadrature node" if first is None else f"sample {first + i}"
+        raise IntegrandError(f"integrand returned {vals[i]!r} at {where}", rows[i].copy())
 
 
 def _quad_tensor(dim: SphereDim, f, npoints: int):
@@ -280,7 +255,7 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
         # S^1 has mu_1 = 1 identically; only the angle integral remains.
         mus = np.array([[1.0]])
         vals = np.asarray(f(mus), dtype=float)
-        _require_finite_grid(vals, mus)
+        _require_finite(vals, mus)
         return 2.0 * math.pi * float(vals[0]), 1
 
     n = dim.n
@@ -334,7 +309,7 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
         vals = np.asarray(f(mus), dtype=float)
         if vals.shape != (size,):
             raise ValueError(f"integrand returned shape {vals.shape}, expected ({size},)")
-        _require_finite_grid(vals, mus)
+        _require_finite(vals, mus)
         total += float(np.dot(vals, weights))
         count += size
     return (2.0 * math.pi) ** dim.n_angles * total, count
@@ -390,17 +365,8 @@ def quad_integrate(
 # vectorized integrand value helpers, shared by tests and the CLI
 
 
-def mu_power_values(mus: np.ndarray, alphas: Sequence[Union[int, float]]) -> np.ndarray:
-    """prod_j mus[:, j]^(a_j) over the first len(alphas) radii columns."""
-    out = np.ones(mus.shape[0])
-    for j, a in enumerate(alphas):
-        if a:
-            out = out * mus[:, j] ** float(a)
-    return out
-
-
 def monomial_values(
-    xs: np.ndarray, exps: Sequence[int], absolute: bool = False
+    xs: np.ndarray, exps: Sequence[Union[int, float]], absolute: bool = False
 ) -> np.ndarray:
     """prod_j xs[:, j]^(e_j), optionally with |xs| as the base."""
     base = np.abs(xs) if absolute else xs
@@ -409,6 +375,10 @@ def monomial_values(
         if e:
             out = out * base[:, j] ** float(e)
     return out
+
+
+# mu_power_values(mus, alphas): prod_j mus[:, j]^(a_j) over the first len(alphas) radii
+mu_power_values = monomial_values
 
 
 def polynomial_values(

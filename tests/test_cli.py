@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -240,6 +242,9 @@ def test_exit_usage_errors(tmp_path, capsys):
         ["volume", "--D", "9", "--verify", "--oracle", "quad", "--nodes", "33"],
         # an exact Gamma argument past the cap: its factorial would never finish
         ["mu-power", "--D", "3", "--alpha", "100000000,0"],
+        # sample output past 2^20 coordinates: count * (D+1) = 2^20 + 4, and 10^9 + 1
+        ["sample", "--D", "3", "--count", "262145"],
+        ["sample", "--D", "1000000000", "--count", "1", "--json"],
     ]
     for argv in cases:
         start = time.perf_counter()
@@ -408,6 +413,12 @@ def test_public_names_resolve():
         assert star[name] is getattr(sphereint.oracle, name)
     with pytest.raises(AttributeError):
         sphereint.no_such_name
+    # the benchmark reaches the package as `si.<name>`: every such name must stay public
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    used = {m for path in bench.glob("*.py")
+            for m in re.findall(r"\bsi\.(\w+)", path.read_text(encoding="utf-8"))}
+    assert "mu_power_values" in used
+    assert used <= set(sphereint.__all__), sorted(used - set(sphereint.__all__))
 
 
 # -- byte determinism through the real entry point ---------------------------

@@ -10,7 +10,6 @@ from sphereint.exactpi import (
     PiRational,
     gamma_half,
     pi_power,
-    pochhammer,
     to_float,
 )
 
@@ -55,18 +54,12 @@ def test_gamma_rejects_poles_and_junk():
         gamma_half(0.5)
 
 
-def test_pochhammer_values():
-    assert pochhammer(Fraction(3, 2), 0) == 1
-    assert pochhammer(Fraction(3, 2), 2) == Fraction(15, 4)
-    assert pochhammer(2, 3) == 24
-    with pytest.raises(ValueError):
-        pochhammer(Fraction(3, 2), -1)
-
-
-def test_pochhammer_is_gamma_ratio():
-    a = Fraction(5, 2)
-    for k in range(8):
-        assert gamma_half(a) * pochhammer(a, k) == gamma_half(a + k)
+def test_gamma_ratio_is_a_rising_factorial():
+    # Gamma(a + k) / Gamma(a) = a (a+1) ... (a+k-1), k steps of the recurrence at once
+    for a in (Fraction(5, 2), Fraction(1, 2), 3):
+        for k in range(8):
+            rising = math.prod((a + i for i in range(k)), start=Fraction(1))
+            assert gamma_half(a) * rising == gamma_half(a + k)
 
 
 def test_rendering():

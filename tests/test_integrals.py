@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphereint.exactpi import (
@@ -291,3 +292,68 @@ def test_mode_consistency_spot_checks():
         assert to_float(mu_power_integral(dim, alphas)) == pytest.approx(
             mu_power_float(dim, [float(a) for a in alphas]), rel=1e-12
         )
+
+
+# every doubled Gamma argument of the exact closed forms stays at or below
+# twice the 25000 cap, so no draw is refused
+_DOUBLED_CAP = 50_000
+
+
+def _paths_agree(exact, floating, terms):
+    """to_float(exact()) == floating() within 64 eps sum|terms|, or both overflow.
+
+    terms are the closed form's log-Gamma terms: a rounding of 2^-52 on each
+    becomes relative error of the float path after exp.
+    """
+    def outcome(call):
+        try:
+            return call()
+        except OverflowError:
+            return OverflowError
+
+    scale = math.fsum(map(abs, terms))
+    want = outcome(lambda: to_float(exact()))
+    try:
+        got = outcome(floating)
+    except DomainError:  # the float path's own refusal of cancelling terms
+        assert sys.float_info.epsilon * scale > 1e-10
+        return
+    if want is OverflowError or got is OverflowError:
+        assert want is got, (want, got)
+    else:
+        assert got == pytest.approx(want, rel=64 * sys.float_info.epsilon * scale)
+
+
+@st.composite
+def _dims_and_exponents(draw, lowest, count):
+    """(d, exponents) with count(d) exponents >= lowest whose doubled Gamma arguments fit.
+
+    Small exponents mixed with large ones keep many values inside the double range.
+    """
+    d = draw(st.integers(min_value=1, max_value=9))
+    k = count(d)
+    top = (_DOUBLED_CAP - d - 1) // k
+    exponent = st.one_of(st.integers(lowest, 8), st.integers(lowest, top))
+    return d, draw(st.lists(exponent, min_size=k, max_size=k))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_dims_and_exponents(-1, lambda D: (D + 1) // 2))
+@example((1, [49998]))  # Gamma(25000) twice: the float path refuses its cancelling terms
+def test_mu_power_paths_agree_up_to_the_gamma_cap(case):
+    D, alphas = case
+    terms = [math.log(2.0), 0.5 * (D + 1) * math.log(math.pi)]
+    terms += [math.lgamma(1.0 + a / 2.0) for a in alphas]
+    terms.append(-math.lgamma((D + 1 + sum(alphas)) / 2.0))
+    _paths_agree(lambda: mu_power_integral(D, alphas), lambda: mu_power_float(D, alphas), terms)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_dims_and_exponents(0, lambda n: n + 1))
+@example((1, [47999, 1]))  # 2/24000 through Gamma(24001)
+@example((1, [24999, 24999]))  # Gamma(12500)^2 / Gamma(25000): below the double range
+def test_dirichlet_abs_paths_agree_up_to_the_gamma_cap(case):
+    n, alphas = case
+    terms = [math.log(2.0)] + [math.lgamma((1.0 + a) / 2.0) for a in alphas]
+    terms.append(-math.lgamma((n + 1 + sum(alphas)) / 2.0))
+    _paths_agree(lambda: dirichlet_abs(n, alphas), lambda: dirichlet_abs_float(n, alphas), terms)

@@ -168,7 +168,9 @@ def test_mc_integrand_error_carries_point():
 
     with pytest.raises(IntegrandError) as err:
         mc_integrate(2, bad, MCConfig(seed=3, samples=64))
-    assert len(err.value.point.xs) == 3
+    row = err.value.row
+    assert np.array_equal(row, sample_batch(2, MCConfig(seed=3, samples=64)).xs[7])
+    assert row.base is None  # a copy: it pins no sample chunk
     assert "sample 7" in str(err.value)
 
 
@@ -291,14 +293,19 @@ def test_quad_refuses_a_grid_past_its_budget():
 
 
 def test_quad_integrand_error_carries_radii():
+    seen = []
+
     def bad(mus):
+        seen.append(mus[9].copy())  # the grid buffer is reused, so copy on receipt
         out = np.ones(mus.shape[0])
-        out[0] = math.inf
+        out[9] = math.inf
         return out
 
-    with pytest.raises(IntegrandError) as err:
-        quad_integrate(2, bad, nodes_per_axis=4)
-    assert len(err.value.point.mus) == 2
+    with pytest.raises(IntegrandError, match="at a quadrature node") as err:
+        quad_integrate(4, bad, nodes_per_axis=4)
+    row = err.value.row
+    assert row.shape == (3,) and np.array_equal(row, seen[0])
+    assert row.base is None  # a copy: it pins no grid buffer
 
 
 def test_poly_integrate_examples():
