@@ -401,9 +401,21 @@ def _cmd_reduce(args, out):
     return 0 if status == "ok" else 3
 
 
-# sample holds every row in memory: at this many coordinates --json peaks
-# at 240-340 MB; the library's sample_batch stays unbounded
+# sample streams its rows, so memory does not grow with --count; the
+# budget bounds the output size
 _MAX_SAMPLE_VALUES = 1 << 20
+_SAMPLE_BLOCK = 4096  # rows formatted per write
+
+
+def _sample_blocks(dim, seed, count):
+    """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held."""
+    oracle = _oracle()
+    for xs in oracle._iter_xs_chunks(dim, oracle.MCConfig(seed=seed, samples=count)):
+        batch = oracle.PointBatch(dim, xs)
+        for i in range(0, len(batch), _SAMPLE_BLOCK):
+            rows = slice(i, i + _SAMPLE_BLOCK)
+            yield zip(batch.xs[rows].tolist(), batch.mus[rows].tolist(),
+                      batch.phis[rows].tolist())
 
 
 def _cmd_sample(args, out):
@@ -413,21 +425,25 @@ def _cmd_sample(args, out):
             f"sample --count {args.count} on S^{dim.D} is past the output budget: "
             f"count * (D+1) may be at most {_MAX_SAMPLE_VALUES} coordinates"
         )
-    oracle = _oracle()
-    batch = oracle.sample_batch(dim, oracle.MCConfig(seed=args.seed, samples=args.count))
-    # row by row, so the CSV path never holds the whole batch as Python floats
-    rows = ((x.tolist(), m.tolist(), p.tolist())
-            for x, m, p in zip(batch.xs, batch.mus, batch.phis))
+    blocks = _sample_blocks(dim, args.seed, args.count)
     if args.json:
         report = _report("sample", {"D": args.D, "seed": args.seed, "count": args.count})
-        report["points"] = [{"xs": x, "mus": m, "phis": p} for x, m, p in rows]
-        out.write(json.dumps(report, sort_keys=True) + "\n")
+        report["points"] = []
+        # the bytes of json.dumps(report) with every point in "points"
+        head, tail = json.dumps(report, sort_keys=True).split('"points": []')
+        out.write(head + '"points": [')
+        sep = ""
+        for block in blocks:
+            points = [{"xs": x, "mus": m, "phis": p} for x, m, p in block]
+            out.write(sep + json.dumps(points, sort_keys=True)[1:-1])
+            sep = ", "
+        out.write("]" + tail + "\n")
     else:
         header = ([f"x{i+1}" for i in range(dim.D + 1)] + [f"mu{i+1}" for i in range(dim.n_mu)]
                   + [f"phi{i+1}" for i in range(dim.n_angles)])
         out.write(",".join(header) + "\n")
-        for x, m, p in rows:
-            out.write(",".join(map(repr, x + m + p)) + "\n")
+        for block in blocks:
+            out.write("".join(",".join(map(repr, x + m + p)) + "\n" for x, m, p in block))
     return 0
 
 

@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of the operation."""
@@ -144,25 +142,83 @@ def pi_power(m: int) -> PiRational:
     return PiRational(Fraction(1), m)
 
 
+# Mantissa width of the fixed-point sqrt(pi) and of its powers in to_float.
+_PREC = 256
+
+
+def _atan_inv(x: int, one: int) -> int:
+    """atan(1/x) * one, truncated, from its alternating Taylor series."""
+    power = total = one // x
+    x2, k, sign = x * x, 3, -1
+    while power:
+        power //= x2
+        total += sign * (power // k)
+        k, sign = k + 2, -sign
+    return total
+
+
+def _sqrt_pi_fixed() -> int:
+    """floor(sqrt(pi) * 2^_PREC) to within a few units, from Machin's formula."""
+    guard = 32
+    one = 1 << (2 * _PREC + guard)
+    pi = 16 * _atan_inv(5, one) - 4 * _atan_inv(239, one)
+    return math.isqrt(pi >> guard)
+
+
+_SQRT_PI = _sqrt_pi_fixed()
+
+
+def _truncate(man: int, exp: int) -> tuple[int, int]:
+    """man * 2^exp with man cut to its _PREC leading bits."""
+    drop = man.bit_length() - _PREC
+    return (man >> drop, exp + drop) if drop > 0 else (man, exp)
+
+
 def to_float(value: PiRational) -> float:
     """Decimal value of q * pi^(m/2), correctly rounded to double precision.
 
-    Computed at 40 significant digits before the final rounding, so the
-    relative error is below 1e-15 whenever the result is representable.
-    Raises OverflowError outside the double range: above it, or nonzero
-    and below the smallest normal double.
+    sqrt(pi) is held as a 256-bit fixed-point integer (Machin's formula,
+    then an integer square root), and (sqrt pi)^|m| is formed as a
+    (mantissa, binary exponent) pair by square-and-multiply, truncating to
+    256 bits after each product.  Its relative error is about |m| * 2^-250
+    before the final rounding, which is one int / int true division that
+    CPython rounds correctly.  Raises OverflowError outside the double
+    range: above it, or nonzero and below the smallest normal double.
+    Out-of-range values are refused from bit lengths, before any big shift.
     """
     if not isinstance(value, PiRational):
         raise TypeError(f"expected PiRational, got {value!r}")
     if value.q == 0:
         return 0.0
-    with mpmath.workdps(40):
-        x = mpmath.mpf(value.q.numerator) / mpmath.mpf(value.q.denominator)
-        if value.m != 0:
-            x = x * mpmath.power(mpmath.pi, mpmath.mpf(value.m) / 2)
-        out = float(x)
-    if math.isinf(out):
+    num, den = value.q.numerator, value.q.denominator
+    man, exp = 1, 0
+    base, base_exp = _SQRT_PI, -_PREC
+    k = abs(value.m)
+    while k:
+        if k & 1:
+            man, exp = _truncate(man * base, exp + base_exp)
+        k >>= 1
+        if k:
+            base, base_exp = _truncate(base * base, 2 * base_exp)
+    if value.m < 0:
+        den, exp = den * man, -exp
+    else:
+        num *= man
+    # |num / den * 2^exp| lies in (2^(bits - 1), 2^(bits + 1)); refuse with
+    # a bit to spare, so a value that rounds onto the range reaches the division
+    bits = num.bit_length() - den.bit_length() + exp
+    if bits > 1025:
         raise OverflowError("value exceeds the double-precision range")
+    if bits < -1024:
+        raise OverflowError("value is below the double-precision range")
+    if exp >= 0:
+        num <<= exp
+    else:
+        den <<= -exp
+    try:
+        out = num / den
+    except OverflowError:
+        raise OverflowError("value exceeds the double-precision range") from None
     if abs(out) < sys.float_info.min:
         raise OverflowError("value is below the double-precision range")
     return out

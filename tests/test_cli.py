@@ -134,6 +134,33 @@ def test_json_sample_points(capsys):
     assert len(pt["xs"]) == 3 and len(pt["mus"]) == 2 and len(pt["phis"]) == 1
 
 
+@pytest.mark.parametrize("D", [2, 3])
+def test_streamed_sample_matches_the_whole_batch(D, capsys, monkeypatch):
+    import sphereint.cli
+    from sphereint import oracle
+
+    # small chunks and write blocks, so 4 chunks and several blocks per chunk
+    monkeypatch.setattr(oracle, "_CHUNK", 16)
+    monkeypatch.setattr(sphereint.cli, "_SAMPLE_BLOCK", 5)
+    count = 3 * 16 + 7
+    batch = oracle.sample_batch(D, oracle.MCConfig(seed=11, samples=count))
+    rows = list(zip(batch.xs.tolist(), batch.mus.tolist(), batch.phis.tolist()))
+    argv = ["sample", "--D", str(D), "--seed", "11", "--count", str(count)]
+
+    code, out, err = run(argv + ["--json"], capsys)
+    assert (code, err) == (0, "")
+    report = {"operation": "sample", "inputs": {"D": D, "seed": 11, "count": count},
+              **dict.fromkeys(REPORT_KEYS - {"operation", "inputs", "status"}),
+              "status": "ok", "points": [{"xs": x, "mus": m, "phis": p} for x, m, p in rows]}
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == count + 1
+    assert lines[1:] == [",".join(map(repr, x + m + p)) for x, m, p in rows]
+
+
 # -- alpha list handling ----------------------------------------------------
 
 
@@ -358,21 +385,25 @@ def test_verify_mc_paths(capsys):
 
 # -- imports ----------------------------------------------------------------
 
-_TRACK_NUMPY = """
+_TRACK_IMPORTS = """
 import contextlib, io, json, sys
 import sphereint
 from sphereint.cli import main
-log = [["import sphereint", None, "numpy" in sys.modules]]
+def loaded():
+    return {name: name in sys.modules for name in ("numpy", "mpmath")}
+log = [["import sphereint", None, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    log.append([argv, code, "numpy" in sys.modules])
+    log.append([argv, code, loaded()])
 print(json.dumps(log))
 """
 
 
-def test_exact_commands_do_not_import_numpy(tmp_path):
-    f = tmp_path / "p.poly"
+@pytest.fixture(scope="module")
+def tracked_imports(tmp_path_factory):
+    """(exact argvs, oracle argvs, log) from one fresh process that runs them in order."""
+    f = tmp_path_factory.mktemp("poly") / "p.poly"
     f.write_text("1/2 2 2 0\n3 0 0 0\n")
     exact = [
         ["volume", "--D", "4"],
@@ -390,14 +421,26 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--oracle", "quad"],
         ["sample", "--D", "2", "--count", "3"],
     ]
-    r = subprocess.run([sys.executable, "-c", _TRACK_NUMPY, json.dumps(exact + oracle)],
+    r = subprocess.run([sys.executable, "-c", _TRACK_IMPORTS, json.dumps(exact + oracle)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    log = json.loads(r.stdout)
-    assert log[0] == ["import sphereint", None, False]
-    assert log[1:len(exact)] == [[argv, 0, False] for argv in exact[:-1]]
-    assert log[len(exact)] == [exact[-1], 2, False]
-    assert log[len(exact) + 1:] == [[argv, 0, True] for argv in oracle]
+    return exact, oracle, json.loads(r.stdout)
+
+
+def test_exact_commands_do_not_import_numpy(tracked_imports):
+    exact, oracle, log = tracked_imports
+    numpy = [[argv, code, loaded["numpy"]] for argv, code, loaded in log]
+    assert numpy[0] == ["import sphereint", None, False]
+    assert numpy[1:len(exact)] == [[argv, 0, False] for argv in exact[:-1]]
+    assert numpy[len(exact)] == [exact[-1], 2, False]
+    assert numpy[len(exact) + 1:] == [[argv, 0, True] for argv in oracle]
+
+
+def test_no_command_imports_mpmath(tracked_imports):
+    # mpmath is a test-only reference: to_float is standard-library integer arithmetic
+    exact, oracle, log = tracked_imports
+    assert len(log) == 1 + len(exact) + len(oracle)
+    assert [entry for entry in log if entry[2]["mpmath"]] == []
 
 
 def test_public_names_resolve():

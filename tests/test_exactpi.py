@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphereint.exactpi import (
@@ -108,6 +110,65 @@ def test_to_float_overflow_is_reported():
     for q in (Fraction(1, 10 ** 400), Fraction(-1, 10 ** 310)):
         with pytest.raises(OverflowError, match="below the double-precision range"):
             to_float(PiRational(q, 3))
+
+
+_MAX, _MIN = sys.float_info.max, sys.float_info.min
+_LOG2_SQRT_PI = math.log2(math.pi) / 2
+
+
+@st.composite
+def _near_double_range(draw):
+    """q * pi^(m/2), |m| <= 50,000, scaled by 2^k to land in or just past the double range."""
+    num = draw(st.integers(-10 ** 60, 10 ** 60).filter(bool))
+    den = draw(st.integers(1, 10 ** 60))
+    m = draw(st.integers(-50_000, 50_000))
+    log2 = draw(st.integers(-1080, 1030))
+    k = log2 - round(math.log2(abs(num)) - math.log2(den) + m * _LOG2_SQRT_PI)
+    return PiRational(Fraction(num, den) * Fraction(2) ** k, m)
+
+
+def _mpmath_to_float(value):
+    """to_float's contract, evaluated by mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(value.q.numerator) / value.q.denominator
+        out = float(x * mpmath.power(mpmath.pi, mpmath.mpf(value.m) / 2))
+    if math.isinf(out):
+        raise OverflowError("value exceeds the double-precision range")
+    if abs(out) < _MIN:
+        raise OverflowError("value is below the double-precision range")
+    return out
+
+
+def _outcome(convert, value):
+    try:
+        return convert(value).hex()
+    except OverflowError as e:
+        return str(e)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_near_double_range())
+@example(PiRational(Fraction(_MAX)))
+@example(PiRational(Fraction(_MAX) + Fraction(2) ** 969))  # rounds down onto DBL_MAX
+@example(PiRational(Fraction(_MAX) + Fraction(2) ** 970))  # half an ulp past: overflows
+@example(PiRational(Fraction(_MAX) / Fraction(math.sqrt(math.pi)), 1))
+@example(PiRational(Fraction(_MIN)))
+@example(PiRational(Fraction(_MIN) - Fraction(2) ** -1076))  # rounds up onto the range
+@example(PiRational(Fraction(_MIN) - Fraction(2) ** -1074))  # the largest subnormal
+@example(PiRational(-Fraction(_MIN) / Fraction(math.sqrt(math.pi)), 1))
+@example(PiRational(Fraction(1), 10 ** 9))
+@example(PiRational(Fraction(-1), -10 ** 9))
+def test_to_float_matches_mpmath(value):
+    assert _outcome(to_float, value) == _outcome(_mpmath_to_float, value)
+
+
+def test_to_float_rounds_rationals_correctly():
+    # a few units below a rounding midpoint: a conversion that first rounds
+    # q to 40 or 60 digits lands on the midpoint and rounds the wrong way
+    assert to_float(PiRational(Fraction(_MAX) + Fraction(2) ** 970 - 1)) == _MAX
+    q = Fraction((2 ** 53 + 1) * 2 ** 300 + 1, 2 ** 300)
+    assert to_float(PiRational(q)) == 2.0 ** 53 + 2
+    assert to_float(PiRational(q - Fraction(2, 2 ** 300))) == 2.0 ** 53
 
 
 def test_division_and_powers():
