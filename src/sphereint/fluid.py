@@ -142,5 +142,9 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
 def gamma_power_values(mus, params: FluidParams):
     """Vectorized gamma^(D+1) for the oracle integrators; mus is (M, n+1)."""
     k = params.dim.n_angles
-    v2 = (mus[:, :k] ** 2) @ [w * w for w in params.omegas]
-    return (1.0 - v2) ** (-0.5 * (params.dim.D + 1))
+    # 1 - v^2 built in the matmul result: negating the weights negates every
+    # rounded product and sum exactly, so -v^2 + 1 is the bits of 1 - v^2
+    out = (mus[:, :k] ** 2) @ [-w * w for w in params.omegas]
+    out += 1.0
+    out **= -0.5 * (params.dim.D + 1)
+    return out

@@ -30,6 +30,8 @@ from .integrals import SphereDim, as_dim
 _CHUNK = 1 << 17
 # target element count per evaluation block in the quadrature grid sweep
 _BLOCK_ELEMS = 1 << 19
+# grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2
+_TILE_ELEMS = 1 << 14
 _MAX_QUAD_D = 9  # quadrature dimension is n, so this caps the grid at 4 axes
 # refined-grid budget: leggauss solves a 2N x 2N eigenproblem per axis, and
 # the grid holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
@@ -125,7 +127,8 @@ def _iter_xs_chunks(dim: SphereDim, config: MCConfig) -> Iterator[np.ndarray]:
         m = min(_CHUNK, remaining)
         g = rng.standard_normal((m, dim.D + 1))
         norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        yield g / norms[:, None]
+        g /= norms[:, None]
+        yield g
         remaining -= m
 
 
@@ -271,23 +274,28 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
         shape[j] = npoints
         return vec.reshape(shape)
 
-    # chain positions 2..n+1 and the weight product over the inner axes,
-    # each missing the per-block sin(theta_1) prefix
-    pos_inner = []
-    prefix = np.ones(inner_shape)
-    w_inner = np.ones(inner_shape)
-    for j, (cos, sin, w) in enumerate(inner_axes):
-        pos_inner.append(prefix * expand(cos, j))
-        prefix = prefix * expand(sin, j)
-        w_inner = w_inner * expand(w, j)
-    pos_inner.append(prefix)
-
     # chain position c -> mu column: in order for odd D; for even D the
     # sign-carrying position 0 is the last column
     columns = list(range(n + 1)) if dim.eps == 1 else [n] + list(range(n))
-    block = max(1, _BLOCK_ELEMS // inner_size)
-    # one row-major grid and weight buffer for every block; f sees a prefix
-    buf = np.empty((block * inner_size, n + 1))
+    # row-major template of the inner grid: chain positions 2..n+1 in their
+    # mu columns, each missing the sin(theta_1) factor, and the weight
+    # product over the inner axes; the cos(theta_1) column is set per tile
+    template = np.zeros((inner_size, n + 1))
+    inner = template.reshape(inner_shape + (n + 1,))
+    prefix = np.ones(inner_shape)
+    w_inner = np.ones(inner_shape)
+    for j, (cos, sin, w) in enumerate(inner_axes):
+        np.multiply(prefix, expand(cos, j), out=inner[..., columns[j + 1]])
+        prefix = prefix * expand(sin, j)
+        w_inner = w_inner * expand(w, j)
+    np.copyto(inner[..., columns[n]], prefix)
+
+    block = min(npoints, max(1, _BLOCK_ELEMS // inner_size))
+    # a tile is whole theta_1 rows of the template, or a slice of one row
+    tile_rows = min(npoints, max(1, _TILE_ELEMS // inner_size))
+    tile_span = min(inner_size, _TILE_ELEMS)
+    tbuf = np.empty((tile_rows * tile_span, n + 1))
+    vbuf = np.empty(block * inner_size)
     wbuf = np.empty(block * inner_size)
     total = 0.0
     count = 0
@@ -297,20 +305,24 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
         size = b * inner_size
         lead = (b,) + tuple(1 for _ in range(ninner))
         full = (b,) + inner_shape
-        c0 = cos0[start:stop].reshape(lead)
-        s0 = sin0[start:stop].reshape(lead)
-        mus = buf[:size]
-        grid = mus.reshape(full + (n + 1,))
-        np.copyto(grid[..., columns[0]], c0)
-        for c, pos in enumerate(pos_inner, start=1):
-            np.multiply(s0, pos, out=grid[..., columns[c]])
+        for i in range(start, stop, tile_rows):
+            i_stop = min(stop, i + tile_rows)
+            for a in range(0, inner_size, tile_span):
+                a_stop = min(inner_size, a + tile_span)
+                m = (i_stop - i) * (a_stop - a)
+                mus = tbuf[:m]
+                tile = mus.reshape(i_stop - i, a_stop - a, n + 1)
+                np.multiply(sin0[i:i_stop, None, None], template[a:a_stop], out=tile)
+                np.copyto(tile[..., columns[0]], cos0[i:i_stop, None])
+                vals = np.asarray(f(mus), dtype=float)
+                if vals.shape != (m,):
+                    raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
+                _require_finite(vals, mus)
+                offset = (i - start) * inner_size + a
+                vbuf[offset : offset + m] = vals
         weights = wbuf[:size]
         np.multiply(w0[start:stop].reshape(lead), w_inner, out=weights.reshape(full))
-        vals = np.asarray(f(mus), dtype=float)
-        if vals.shape != (size,):
-            raise ValueError(f"integrand returned shape {vals.shape}, expected ({size},)")
-        _require_finite(vals, mus)
-        total += float(np.dot(vals, weights))
+        total += float(np.dot(vbuf[:size], weights))
         count += size
     return (2.0 * math.pi) ** dim.n_angles * total, count
 
@@ -323,11 +335,12 @@ def quad_integrate(
     """Deterministic quadrature of a radii-only integrand over S^D.
 
     f receives a row-major (M, n+1) array of polar radii and returns one
-    float per row.  The array is a view of a buffer that the next block
-    of the grid overwrites, so an f that keeps it must copy it.  The circle angles are integrated analytically, leaving an
-    n-dimensional tensor-product Gauss-Legendre grid; the cap D <= 9 keeps
-    that grid at most four axes.  The estimate is the refined pass
-    I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
+    float per row.  The array is one tile of the grid, M <= 2^14 rows, and
+    a view of a buffer that the next tile overwrites, so an f that keeps
+    it must copy it.  The circle angles are integrated analytically,
+    leaving an n-dimensional tensor-product Gauss-Legendre grid; the cap
+    D <= 9 keeps that grid at most four axes.  The estimate is the refined
+    pass I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
     converged result never reports a zero bound.
 
     Refuses up front, with BudgetError (a ValueError), a refined grid past
@@ -370,11 +383,12 @@ def monomial_values(
 ) -> np.ndarray:
     """prod_j xs[:, j]^(e_j), optionally with |xs| as the base."""
     base = np.abs(xs) if absolute else xs
-    out = np.ones(xs.shape[0])
+    out = None
     for j, e in enumerate(exps):
         if e:
-            out = out * base[:, j] ** float(e)
-    return out
+            p = base[:, j] ** float(e)
+            out = p if out is None else np.multiply(out, p, out=out)
+    return np.ones(xs.shape[0]) if out is None else out
 
 
 # mu_power_values(mus, alphas): prod_j mus[:, j]^(a_j) over the first len(alphas) radii

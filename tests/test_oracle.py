@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from sphereint.fluid import FluidParams, gamma_power_values
 from sphereint.integrals import SphereDim, mu_power_float, poly_integrate, sphere_volume
 from sphereint.oracle import (
     _CHUNK,
+    _TILE_ELEMS,
     IntegrandError,
     MCConfig,
     mc_integrate,
@@ -233,6 +235,10 @@ def test_quad_cross_checks_mc():
         ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036bc8p+5", "0x1.766c2bd7c657cp-17"),
         # even D: the sign-carrying chain position is the last mu column
         ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f337p-1", "0x1.9feaeca4597d3p-2"),
+        # refined inner grids past one tile: 32^3 rows in two even cuts, and
+        # 34^3 rows in three uneven ones
+        ("mu", 9, (2, 0, 1, 1, 0), 16, "0x1.55d3c7e3cc00ap-1", "0x1.b10894e441654p-15"),
+        ("fluid", 8, (0.3, 0.2, 0.4, 0.1), 17, "0x1.46e7f776d3480p+5", "0x1.1e49aea6a5c66p-5"),
     ],
 )
 def test_quad_frozen_bits(kind, D, params, nodes, value, error):
@@ -246,15 +252,32 @@ def test_quad_frozen_bits(kind, D, params, nodes, value, error):
 
 
 def test_quad_integrand_gets_a_row_major_grid():
-    seen = []
+    # one tile of at most _TILE_ELEMS rows per call, whether a tile is a
+    # slice of one theta_1 row (D = 9, N = 17) or several whole rows
+    for D, nodes in ((9, 17), (9, 8), (4, 8), (2, 5)):
+        seen = []
 
-    def f(mus):
-        seen.append(mus.flags["C_CONTIGUOUS"])
-        return np.ones(mus.shape[0])
+        def f(mus):
+            seen.append((mus.flags["C_CONTIGUOUS"], mus.shape[0]))
+            return np.ones(mus.shape[0])
 
-    quad_integrate(9, f, nodes_per_axis=8)
-    quad_integrate(4, f, nodes_per_axis=8)
-    assert seen and all(seen)
+        est = quad_integrate(D, f, nodes_per_axis=nodes)
+        assert seen and all(contiguous for contiguous, _ in seen)
+        assert max(rows for _, rows in seen) <= _TILE_ELEMS
+        assert sum(rows for _, rows in seen) == est.samples_or_nodes
+
+
+def test_quad_grid_memory_stays_bounded():
+    # the D = 9, N = 32 refined grid holds 2^24 nodes; it is built tile by
+    # tile, never as one 2^19-row block of five columns
+    alphas = (2, 0, 1, 1, 0)
+    tracemalloc.start()
+    try:
+        quad_integrate(9, lambda mus: mu_power_values(mus, alphas), nodes_per_axis=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32_000_000
 
 
 def test_quad_nodes_stay_on_their_axis():
