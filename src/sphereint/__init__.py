@@ -11,7 +11,6 @@ from .exactpi import (
 )
 from .integrals import (
     SphereDim,
-    as_dim,
     dirichlet_abs,
     dirichlet_abs_float,
     dirichlet_signed,
@@ -56,7 +55,6 @@ __all__ = [
     "pi_power",
     "to_float",
     "SphereDim",
-    "as_dim",
     "dirichlet_abs",
     "dirichlet_abs_float",
     "dirichlet_signed",

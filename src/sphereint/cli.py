@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit one JSON report object")
         p.add_argument("--digits", type=_bounded(int, 1), default=12,
                        help="significant digits in text output")
-        if name not in _SPECS:
+        if name in ("reduce", "sample"):  # reduce checks itself; sample has no closed value
             continue
         p.add_argument("--verify", action="store_true", help="run a brute-force oracle and compare")
         p.add_argument("--oracle", choices=("mc", "quad"), default="mc")
@@ -200,12 +200,12 @@ def _sigma_of(diff: float, se: float, scale: float) -> float:
     return 0.0 if diff <= 1e-12 * abs(scale) else math.inf
 
 
-def _report(operation, inputs, exact=None, decimal=None, oracle_value=None,
+def _report(operation, inputs, closed=None, decimal=None, oracle_value=None,
             oracle_error=None, agreement_sigma=None, status="ok"):
     return {
         "operation": operation,
         "inputs": inputs,
-        "exact": None if exact is None else str(exact),
+        "exact": str(closed) if isinstance(closed, PiRational) else None,
         "decimal": decimal,
         "oracle_value": oracle_value,
         "oracle_error": oracle_error,
@@ -214,22 +214,14 @@ def _report(operation, inputs, exact=None, decimal=None, oracle_value=None,
     }
 
 
-def _emit(args, report, lines, out):
-    if args.json:
-        out.write(json.dumps(report, sort_keys=True) + "\n")
-    else:
-        for line in lines:
-            out.write(line + "\n")
-
-
 def _decimal_of(value) -> float:
     return to_float(value) if isinstance(value, PiRational) else float(value)
 
 
-def _headline(value, digits: int) -> str:
+def _headline(value, decimal: float, digits: int) -> str:
     if isinstance(value, PiRational):
-        return f"{value} = {_fmt(to_float(value), digits)}"
-    return _fmt(float(value), digits)
+        return f"{value} = {_fmt(decimal, digits)}"
+    return _fmt(decimal, digits)
 
 
 @dataclass
@@ -239,8 +231,9 @@ class _Spec:
     quad_f maps polar radii to values; without it --oracle quad is refused.
     mc_f maps a PointBatch and defaults to quad_f on its radii.  quad_dim
     and quad_scale lift quad_f onto another sphere.  refusal says why
-    --verify cannot run.  second is a (value, error, sigma, lines) check
-    the builder ran in the oracle's place.
+    --verify cannot run.  second is the (value, error, sigma, status,
+    lines) of a check the builder ran in the oracle's place, lines being
+    the whole text report.  decimal is closed as a float, converted once.
     """
 
     inputs: dict
@@ -253,16 +246,18 @@ class _Spec:
     refusal: Optional[str] = None
     second: Optional[tuple] = None
 
+    def __post_init__(self) -> None:
+        self.decimal = _decimal_of(self.closed)
+
 
 def _run(spec: _Spec, args, out) -> int:
     """Headline, optional oracle check, report and exit code for one spec."""
-    decimal = _decimal_of(spec.closed)
-    lines = [_headline(spec.closed, args.digits)]
+    decimal = spec.decimal
+    lines = [_headline(spec.closed, decimal, args.digits)]
     ov = oe = sig = None
     status = "ok"
     if spec.second is not None:
-        ov, oe, sig, extra = spec.second
-        lines += extra
+        ov, oe, sig, status, lines = spec.second
     elif args.verify:
         if spec.refusal:
             raise DomainError(spec.refusal)
@@ -288,9 +283,11 @@ def _run(spec: _Spec, args, out) -> int:
         status = "ok" if ok else "disagree"
         lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
                   f"agreement sigma = {sig:.3g}", f"status = {status}"]
-    exact = spec.closed if isinstance(spec.closed, PiRational) else None
-    report = _report(args.command, spec.inputs, exact, decimal, ov, oe, sig, status)
-    _emit(args, report, lines, out)
+    if args.json:
+        report = _report(args.command, spec.inputs, spec.closed, decimal, ov, oe, sig, status)
+        out.write(json.dumps(report, sort_keys=True) + "\n")
+    else:
+        out.write("".join(line + "\n" for line in lines))
     return 0 if status == "ok" else 3
 
 
@@ -346,7 +343,8 @@ def _fluid(args) -> _Spec:
         res = fluid_series(params, args.kmax)
         spec.inputs.update(oracle="series", kmax=args.kmax)
         gap = abs(res.value - spec.closed) / abs(spec.closed)
-        spec.second = (res.value, res.last_term_magnitude, gap, [
+        spec.second = (res.value, res.last_term_magnitude, gap, "ok", [
+            _headline(spec.closed, spec.decimal, args.digits),
             f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
             f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
             f"relative gap = {gap:.3g}",
@@ -371,34 +369,30 @@ def _integrate_poly(args) -> _Spec:
     )
 
 
-def _cmd_reduce(args, out):
+def _reduce(args) -> _Spec:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     dim = SphereDim(args.D)
     direct = mu_power_integral(dim, alphas)
     reduced = reduction_rhs(dim, alphas)
-    exact = direct if isinstance(direct, PiRational) else None
-    decimal = _decimal_of(direct)
+    spec = _Spec({"D": args.D, "alpha": alphas, "oracle": "reduction"}, direct, dim)
     reduced_decimal = _decimal_of(reduced)
-    if exact is not None:
+    if isinstance(direct, PiRational):
         agree = direct == reduced
         sig = 0.0 if agree else math.inf
         note = "exact" if agree else "MISMATCH"
     else:
-        gap = abs(decimal - reduced_decimal) / max(abs(decimal), 1e-300)
+        gap = abs(spec.decimal - reduced_decimal) / max(abs(spec.decimal), 1e-300)
         agree = gap <= 1e-10
         sig = gap
         note = f"relative gap {gap:.3g}"
     status = "ok" if agree else "disagree"
-    inputs = {"D": args.D, "alpha": alphas, "oracle": "reduction"}
-    lines = [
-        f"direct:  {_headline(direct, args.digits)}",
-        f"reduced: {_headline(reduced, args.digits)}",
+    spec.second = (reduced_decimal, 0.0, sig, status, [
+        f"direct:  {_headline(direct, spec.decimal, args.digits)}",
+        f"reduced: {_headline(reduced, reduced_decimal, args.digits)}",
         f"agreement: {note}",
         f"status = {status}",
-    ]
-    report = _report("reduce", inputs, exact, decimal, reduced_decimal, 0.0, sig, status)
-    _emit(args, report, lines, out)
-    return 0 if status == "ok" else 3
+    ])
+    return spec
 
 
 # sample streams its rows, so memory does not grow with --count; the
@@ -410,6 +404,7 @@ _SAMPLE_BLOCK = 4096  # rows formatted per write
 def _sample_blocks(dim, seed, count):
     """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held."""
     oracle = _oracle()
+    # the private chunk stream: a public streaming API would be one more name for one caller
     for xs in oracle._iter_xs_chunks(dim, oracle.MCConfig(seed=seed, samples=count)):
         batch = oracle.PointBatch(dim, xs)
         for i in range(0, len(batch), _SAMPLE_BLOCK):
@@ -447,23 +442,23 @@ def _cmd_sample(args, out):
     return 0
 
 
-# the closed forms build a _Spec that _run reports; the rest report themselves
+# every command but sample builds a _Spec that _run reports
 _SPECS = {
     "volume": _volume,
     "dirichlet": _dirichlet,
     "mu-power": _mu_power,
+    "reduce": _reduce,
     "fluid": _fluid,
     "integrate-poly": _integrate_poly,
 }
-_COMMANDS = {"reduce": _cmd_reduce, "sample": _cmd_sample}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command in _SPECS:
-            return _run(_SPECS[args.command](args), args, sys.stdout)
-        return _COMMANDS[args.command](args, sys.stdout)
+        if args.command == "sample":
+            return _cmd_sample(args, sys.stdout)
+        return _run(_SPECS[args.command](args), args, sys.stdout)
     except SystemExit as e:  # --help
         return int(e.code or 0)
     except (_UsageError, DomainError, ValueError, TypeError, OverflowError) as e:

@@ -46,8 +46,10 @@ class PiRational:
 
     q is kept fully reduced (Fraction does that), and q == 0 forces m == 0,
     so two PiRational values are equal iff they are the same mathematical
-    number.  Addition demands matching powers of pi; mixing powers is a bug
-    in the caller, never something to coerce through floats.
+    number.  The operators are the ones the closed forms use: products with
+    a PiRational, int or Fraction, division by a nonzero PiRational, and
+    addition.  Addition demands matching powers of pi; mixing powers is a
+    bug in the caller, never something to coerce through floats.
     """
 
     q: Fraction
@@ -80,20 +82,11 @@ class PiRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, PiRational):
-            if other.q == 0:
-                raise ZeroDivisionError("division by zero PiRational")
-            return PiRational(self.q / other.q, self.m - other.m)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return PiRational(self.q / Fraction(other), self.m)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if self.q == 0:
-                raise ZeroDivisionError("division by zero PiRational")
-            return PiRational(Fraction(other) / self.q, -self.m)
-        return NotImplemented
+        if not isinstance(other, PiRational):
+            return NotImplemented
+        if other.q == 0:
+            raise ZeroDivisionError("division by zero PiRational")
+        return PiRational(self.q / other.q, self.m - other.m)
 
     def __add__(self, other):
         if not isinstance(other, PiRational):
@@ -109,21 +102,6 @@ class PiRational:
                 "powers of pi must match"
             )
         return PiRational(self.q + other.q, self.m)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiRational):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __neg__(self) -> "PiRational":
-        return PiRational(-self.q, self.m)
-
-    def __pow__(self, k):
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise TypeError("PiRational exponent must be an integer")
-        if k < 0 and self.q == 0:
-            raise ZeroDivisionError("zero PiRational to a negative power")
-        return PiRational(self.q ** k, self.m * k)
 
     def __str__(self) -> str:
         if self.q == 0:

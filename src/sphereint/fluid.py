@@ -119,7 +119,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     w2 = [w * w for w in params.omegas]
     if max(w2) > _SERIES_W2_LIMIT:
         raise DomainError(
-            f"max w^2 = {max(w2):.4g} > {_SERIES_W2_LIMIT}: the series needs "
+            f"max w^2 = {max(w2)!r} > {_SERIES_W2_LIMIT}: the series needs "
             "impractically many shells this close to divergence; evaluate "
             "fluid_closed instead"
         )

@@ -16,7 +16,15 @@ sphere: integral over S^D of prod mu_j^(a_j) equals
 pi^(n+eps) * integral over S^n of prod |mu_j|^(a_j + 1), zero-padded to
 all n + 1 coordinates.  reduction_rhs evaluates that right-hand side.
 poly_integrate extends the signed monomial integral linearly to
-polynomials with rational coefficients.  The exact path refuses, with
+polynomials with rational coefficients.
+
+Every closed form is one Gamma quotient
+2 pi^(m/2) prod Gamma((c + a_j)/2) / Gamma((base + sum a_j)/2), named by
+its shape (m, c, alphas, base): the volume of S^D is (D+1, 0, (), D+1),
+the monomial integrals over S^n are (0, 1, alphas, n+1), and the
+polar-radius powers over S^D are (D+1, 2, alphas, D+1).  Two kernels
+evaluate it and share no code: _gamma_quotient exactly, and
+_lgamma_quotient from log-Gamma floats.  The exact kernel refuses, with
 BudgetError, a Gamma argument above 25000 before it builds any factorial.
 """
 
@@ -104,24 +112,53 @@ def _all_int(alphas: Sequence[Number]) -> bool:
     return all(isinstance(a, int) for a in alphas)
 
 
-def _gamma_quotient(m: int, tops: Sequence[int], bottom: int) -> PiRational:
-    """2 pi^(m/2) prod Gamma(t/2) / Gamma(bottom/2), every argument passed doubled.
+def _gamma_quotient(m: int, c: int, alphas: Sequence[int], base: int) -> PiRational:
+    """2 pi^(m/2) prod Gamma((c + a_j)/2) / Gamma((base + sum a_j)/2), exactly.
 
-    Every closed form here has this shape, with bottom its largest argument,
-    so building Gamma(bottom/2) first lets gamma_half's cap refuse before
-    any other factorial is built.
+    Every exact closed form here has this shape, with the bottom its
+    largest argument, so building that Gamma first lets gamma_half's cap
+    refuse before any other factorial is built.
     """
-    denom = gamma_half(Fraction(bottom, 2))
+    denom = gamma_half(Fraction(base + sum(alphas), 2))
     out = PiRational(Fraction(2), m)
-    for t in tops:
-        out = out * gamma_half(Fraction(t, 2))
+    for a in alphas:
+        out = out * gamma_half(Fraction(c + a, 2))
     return out / denom
+
+
+def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> float:
+    """The float twin of _gamma_quotient, from log-Gamma terms alone.
+
+    It shares no code with the exact kernel, so the two check each other.
+    Each log-Gamma term carries rounding of order 2^-52 |term|, and exp
+    turns the log's absolute error into relative error; huge exponents
+    make the terms cancel, so a bound past _FLOAT_MAX_REL_ERR raises
+    DomainError.  Outside the double range this raises OverflowError:
+    math.exp does above it; below it, where exp would return a subnormal
+    or 0.0, this raises as the exact path's to_float does.
+    """
+    terms = [math.log(2.0), 0.5 * m * math.log(math.pi)]
+    terms += [math.lgamma((c + float(a)) / 2.0) for a in alphas]  # int a rounds before c is added
+    terms.append(-math.lgamma((base + math.fsum(alphas)) / 2.0))
+    log = 0.0
+    for t in terms:  # left to right, not fsum, so every float result keeps its bits
+        log += t
+    bound = sys.float_info.epsilon * math.fsum(map(abs, terms))
+    if bound > _FLOAT_MAX_REL_ERR:
+        raise DomainError(
+            f"the floating path's log-Gamma terms cancel: its relative error "
+            f"could reach {bound:.2g}, above {_FLOAT_MAX_REL_ERR:g}"
+        )
+    out = math.exp(log)
+    if out < sys.float_info.min:
+        raise OverflowError("value is below the double-precision range")
+    return out
 
 
 def sphere_volume(dim: Union[SphereDim, int]) -> PiRational:
     """Total volume of S^D: 2 pi^((D+1)/2) / Gamma((D+1)/2), exactly."""
     dim = as_dim(dim)
-    return _gamma_quotient(dim.D + 1, (), dim.D + 1)
+    return _gamma_quotient(dim.D + 1, 0, (), dim.D + 1)
 
 
 def _check_n(n: int) -> int:
@@ -146,7 +183,7 @@ def dirichlet_signed(n: int, alphas: Sequence[int]) -> PiRational:
         )
     if any(a % 2 for a in alphas):
         return PiRational(Fraction(0))
-    return _gamma_quotient(0, [1 + a for a in alphas], n + 1 + sum(alphas))
+    return _gamma_quotient(0, 1, alphas, n + 1)
 
 
 def poly_integrate(
@@ -178,34 +215,8 @@ def dirichlet_abs(n: int, alphas: Sequence[Number]) -> Union[PiRational, float]:
     """
     n = _check_n(n)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
-    if _all_int(alphas):
-        return _gamma_quotient(0, [1 + a for a in alphas], n + 1 + sum(alphas))
-    return dirichlet_abs_float(n, alphas)
-
-
-def _exp_of_sum(terms: Sequence[float]) -> float:
-    """exp(sum of the log terms) for the float paths, refused where inexact.
-
-    Each log-Gamma term carries rounding of order 2^-52 |term|, and exp
-    turns the log's absolute error into relative error; huge exponents
-    make the terms cancel, so a bound past _FLOAT_MAX_REL_ERR raises
-    DomainError.  Outside the double range this raises OverflowError:
-    math.exp does above it; below it, where exp would return a subnormal
-    or 0.0, this raises as the exact path's to_float does.
-    """
-    log = 0.0
-    for t in terms:  # left to right, not fsum, so every float result keeps its bits
-        log += t
-    bound = sys.float_info.epsilon * math.fsum(map(abs, terms))
-    if bound > _FLOAT_MAX_REL_ERR:
-        raise DomainError(
-            f"the floating path's log-Gamma terms cancel: its relative error "
-            f"could reach {bound:.2g}, above {_FLOAT_MAX_REL_ERR:g}"
-        )
-    out = math.exp(log)
-    if out < sys.float_info.min:
-        raise OverflowError("value is below the double-precision range")
-    return out
+    kernel = _gamma_quotient if _all_int(alphas) else _lgamma_quotient
+    return kernel(0, 1, alphas, n + 1)
 
 
 def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
@@ -217,9 +228,7 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     """
     n = _check_n(n)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
-    terms = [math.log(2.0)] + [math.lgamma((1.0 + a) / 2.0) for a in alphas]
-    terms.append(-math.lgamma((n + 1 + math.fsum(alphas)) / 2.0))
-    return _exp_of_sum(terms)
+    return _lgamma_quotient(0, 1, alphas, n + 1)
 
 
 def mu_power_integral(
@@ -233,9 +242,8 @@ def mu_power_integral(
     """
     dim = as_dim(dim)
     alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
-    if _all_int(alphas):
-        return _gamma_quotient(dim.D + 1, [2 + a for a in alphas], dim.D + 1 + sum(alphas))
-    return mu_power_float(dim, alphas)
+    kernel = _gamma_quotient if _all_int(alphas) else _lgamma_quotient
+    return kernel(dim.D + 1, 2, alphas, dim.D + 1)
 
 
 def mu_power_float(dim: Union[SphereDim, int], alphas: Sequence[Number]) -> float:
@@ -246,10 +254,7 @@ def mu_power_float(dim: Union[SphereDim, int], alphas: Sequence[Number]) -> floa
     """
     dim = as_dim(dim)
     alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
-    terms = [math.log(2.0), 0.5 * (dim.D + 1) * math.log(math.pi)]
-    terms += [math.lgamma(1.0 + a / 2.0) for a in alphas]
-    terms.append(-math.lgamma((dim.D + 1 + math.fsum(alphas)) / 2.0))
-    return _exp_of_sum(terms)
+    return _lgamma_quotient(dim.D + 1, 2, alphas, dim.D + 1)
 
 
 def reduction_rhs(

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sphereint.cli import build_parser, main, parse_polynomial
+from sphereint.exactpi import PiRational
 
 REPORT_KEYS = {
     "operation",
@@ -63,6 +64,20 @@ def test_reduce_human(capsys):
     assert code == 0
     assert "agreement: exact" in out
     assert "status = ok" in out
+
+
+def test_reduce_reports_a_mismatch(monkeypatch, capsys):
+    # a reduced value off the direct one fails the check, on either path
+    monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda dim, alphas: PiRational(1, 4))
+    code, out, _ = run(["reduce", "--D", "4", "--alpha", "2,0"], capsys)
+    assert code == 3
+    assert "agreement: MISMATCH" in out
+    assert "status = disagree" in out
+    monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda dim, alphas: 1.0)
+    code, out, _ = run(["reduce", "--D", "4", "--alpha", "2.0,0"], capsys)
+    assert code == 3
+    assert "agreement: relative gap" in out
+    assert "status = disagree" in out
 
 
 def test_fluid_human_with_series(capsys):
@@ -258,6 +273,8 @@ def test_exit_usage_errors(tmp_path, capsys):
          "--oracle", "quad", "--nodes", "1"],
         ["mu-power", "--D", "5", "--alpha", "2,0,-1", "--verify", "--seed", "-1"],
         ["reduce", "--D", "4", "--alpha", "2,0", "--digits", "-3"],
+        ["reduce", "--D", "4", "--alpha", "2,0", "--verify"],  # reduce is its own check
+        ["reduce", "--D", "4", "--alpha", "2,0", "--oracle", "quad"],
         ["fluid", "--D", "2", "--omega", "0.5", "--verify", "--sigma", "nan"],
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "-1"],
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "100000000"],

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+import types
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,9 @@ from sphereint.exactpi import (
     pi_power,
     to_float,
 )
+import sphereint.oracle
+from sphereint import integrals
+from sphereint.fluid import fluid_closed, fluid_series
 from sphereint.integrals import (
     SphereDim,
     dirichlet_abs,
@@ -276,6 +280,51 @@ def test_float_paths_refuse_cancelling_log_gamma_terms():
             assert dirichlet_abs_float(1, [a, 0.0]) == pytest.approx(float(exact), rel=1e-10)
             exact = 2 * mpmath.pi**2 * G(1 + a / 2) / G(2 + a / 2)
             assert mu_power_float(3, [a, 0.0]) == pytest.approx(float(exact), rel=1e-10)
+
+
+# bits of the float paths, pinned so a change to the log-Gamma kernel shows
+_FLOAT_BITS = [
+    (dirichlet_abs_float, 2, (0.5, 0, 0), "0x1.0c152382d7368p+3"),
+    (dirichlet_abs, 3, (1.5, 2, 0, 7), "0x1.e48f2cf588a76p-7"),
+    (mu_power_float, 5, (2, 0, -1), "0x1.08963eb516514p+5"),
+    (mu_power_integral, 7, (0.25, 1, -0.5, 3), "0x1.5d2f47ac6ce86p+1"),
+    (reduction_rhs, 5, (1.5, 0, 2), "0x1.b7d52fb8aa14fp+1"),
+    (mu_power_float, 20, (0.5,) * 10, "0x1.10015e9554dfbp-12"),
+]
+
+
+def test_float_frozen_bits():
+    for f, d, alphas, bits in _FLOAT_BITS:
+        assert f(d, alphas).hex() == bits, (f.__name__, d, alphas)
+    with pytest.raises(DomainError) as refused:
+        mu_power_float(1, (49998.0,))
+    assert str(refused.value) == (
+        "the floating path's log-Gamma terms cancel: its relative error "
+        "could reach 1e-10, above 1e-10"
+    )
+
+
+def _names(code):
+    """The global and attribute names a code object and its nested code refer to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_kernels_and_oracles_share_no_code():
+    exact = {"gamma_half", "PiRational", "Fraction", "_gamma_quotient", "to_float"}
+    assert not _names(integrals._lgamma_quotient.__code__) & exact
+    assert not _names(integrals._gamma_quotient.__code__) & {"lgamma", "_lgamma_quotient"}
+    evaluators = (
+        integrals._gamma_quotient, integrals._lgamma_quotient, gamma_half, to_float,
+        sphere_volume, dirichlet_signed, dirichlet_abs, dirichlet_abs_float,
+        mu_power_integral, mu_power_float, reduction_rhs, term_integral,
+        integrals.poly_integrate, fluid_closed, fluid_series,
+    )
+    held = {id(f) for f in evaluators}
+    assert [name for name, v in vars(sphereint.oracle).items() if id(v) in held] == []
 
 
 def test_mode_consistency_spot_checks():
