@@ -6,7 +6,6 @@ from .exactpi import (
     DomainError,
     PiRational,
     gamma_half,
-    pi_power,
     to_float,
 )
 from .integrals import (
@@ -52,7 +51,6 @@ __all__ = [
     "DomainError",
     "PiRational",
     "gamma_half",
-    "pi_power",
     "to_float",
     "SphereDim",
     "dirichlet_abs",
@@ -60,6 +58,7 @@ __all__ = [
     "dirichlet_signed",
     "mu_power_float",
     "mu_power_integral",
+    "poly_integrate",
     "reduction_rhs",
     "sphere_volume",
     "term_integral",
@@ -75,7 +74,6 @@ __all__ = [
     "mc_integrate",
     "monomial_values",
     "mu_power_values",
-    "poly_integrate",
     "polynomial_values",
     "quad_integrate",
     "sample_batch",

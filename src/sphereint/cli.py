@@ -10,7 +10,7 @@ Keys are always present, null when not applicable.  Exit codes: 0 success,
 1 usage error, 2 domain error, 3 oracle disagreement under --verify.
 Usage errors are refused before any integration runs: a missing, unknown
 or conflicting flag, a flag value out of range (--samples, --count and
---digits >= 1, --nodes >= 2, --seed and --kmax >= 0, --sigma finite and
+--digits >= 1, --nodes >= 8, --seed and --kmax >= 0, --sigma finite and
 > 0), a --kmax past the series caps, a --nodes past the quadrature
 budget, a sample --count with count * (D+1) past 2^20 coordinates, an
 integer exponent or D whose exact Gamma argument is past 25000, and an
@@ -154,7 +154,7 @@ def build_parser() -> _Parser:
         p.add_argument("--oracle", choices=("mc", "quad"), default="mc")
         p.add_argument("--seed", type=_bounded(int, 0), default=0)
         p.add_argument("--samples", type=_bounded(int, 1), default=100_000)
-        p.add_argument("--nodes", type=_bounded(int, 2), default=32,
+        p.add_argument("--nodes", type=_bounded(int, 8), default=32,
                        help="quadrature nodes per axis")
         p.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
                        help="MC disagreement threshold")
@@ -228,12 +228,13 @@ def _headline(value, decimal: float, digits: int) -> str:
 class _Spec:
     """A closed value and the integrands the oracles check it with.
 
-    quad_f maps polar radii to values; without it --oracle quad is refused.
-    mc_f maps a PointBatch and defaults to quad_f on its radii.  quad_dim
-    and quad_scale lift quad_f onto another sphere.  refusal says why
-    --verify cannot run.  second is the (value, error, sigma, status,
-    lines) of a check the builder ran in the oracle's place, lines being
-    the whole text report.  decimal is closed as a float, converted once.
+    quad_f maps polar radii to values; a spec without it sets refusal for
+    --oracle quad.  mc_f maps a PointBatch and defaults to quad_f on its
+    radii.  quad_dim and quad_scale lift quad_f onto another sphere.
+    refusal says why --verify cannot run.  second is the (value, error,
+    sigma, status, lines) of a check the builder ran in the oracle's place,
+    lines being the whole text report.  decimal is closed as a float,
+    converted once.
     """
 
     inputs: dict
@@ -261,10 +262,6 @@ def _run(spec: _Spec, args, out) -> int:
     elif args.verify:
         if spec.refusal:
             raise DomainError(spec.refusal)
-        if args.oracle == "quad" and spec.quad_f is None:
-            raise DomainError(
-                "signed polynomials are not radii-only integrands; verify with --oracle mc"
-            )
         spec.inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
         if spec.quad_f is not None:
             spec.inputs["nodes"] = args.nodes
@@ -360,12 +357,18 @@ def _integrate_poly(args) -> _Spec:
         raise _UsageError(f"cannot read {args.file}: {e}")
     except ValueError as e:  # a malformed file
         raise _UsageError(str(e))
+    if args.n < 1:
+        refusal = "oracle verification needs n >= 1"
+    elif args.oracle == "quad":
+        refusal = "signed polynomials are not radii-only integrands; verify with --oracle mc"
+    else:
+        refusal = None
     return _Spec(
         {"n": args.n, "file": args.file, "terms": len(poly)},
         poly_integrate(args.n, poly),
         args.n,
         mc_f=lambda b: _oracle().polynomial_values(b.xs, poly),
-        refusal="oracle verification needs n >= 1" if args.n < 1 else None,
+        refusal=refusal,
     )
 
 

@@ -115,11 +115,6 @@ class PiRational:
         return f"{self.q} * pi^{power}"
 
 
-def pi_power(m: int) -> PiRational:
-    """pi^(m/2) as an exact value."""
-    return PiRational(Fraction(1), m)
-
-
 # Mantissa width of the fixed-point sqrt(pi) and of its powers in to_float.
 _PREC = 256
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exactpi import DomainError, PiRational, gamma_half, pi_power
+from .exactpi import DomainError, PiRational, gamma_half
 
 Number = Union[int, float]
 
@@ -272,7 +272,7 @@ def reduction_rhs(
     pad = dim.n_mu - dim.n_angles  # 1 for even D, 0 for odd
     if _all_int(alphas):
         shifted = tuple(a + 1 for a in alphas) + (0,) * pad
-        return pi_power(2 * dim.n_angles) * dirichlet_abs(dim.n, shifted)
+        return PiRational(1, 2 * dim.n_angles) * dirichlet_abs(dim.n, shifted)
     shifted = tuple(float(a) + 1.0 for a in alphas) + (0.0,) * pad
     return math.pi ** dim.n_angles * dirichlet_abs_float(dim.n, shifted)
 

@@ -32,6 +32,7 @@ _CHUNK = 1 << 17
 _BLOCK_ELEMS = 1 << 19
 # grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2
 _TILE_ELEMS = 1 << 14
+_MIN_QUAD_NODES = 8  # below it, |I(2N) - I(N)| can miss the error of I(2N)
 _MAX_QUAD_D = 9  # quadrature dimension is n, so this caps the grid at 4 axes
 # refined-grid budget: leggauss solves a 2N x 2N eigenproblem per axis, and
 # the grid holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
@@ -49,7 +50,7 @@ class MCConfig:
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples!r}")
 
 
@@ -161,12 +162,7 @@ def mc_integrate(
     m2 = 0.0  # sum of squared deviations from run_mean over the chunks so far
     for xs in _iter_xs_chunks(dim, config):
         batch = PointBatch(dim, xs)
-        vals = np.asarray(f(batch), dtype=float)
-        if vals.shape != (len(batch),):
-            raise ValueError(
-                f"integrand returned shape {vals.shape}, expected ({len(batch)},)"
-            )
-        _require_finite(vals, xs, count)
+        vals = _values(f, batch, xs, count)
         chunk_sum = float(np.sum(vals))
         m = len(batch)
         chunk_mean = chunk_sum / m
@@ -187,26 +183,6 @@ def mc_integrate(
 
 
 @lru_cache(maxsize=None)
-def _unit_nodes(npoints: int):
-    """Gauss-Legendre nodes/weights on [0,1], pushed through a quintic smootherstep.
-
-    t(s) = 10 s^3 - 15 s^4 + 6 s^5 has t'(s) = 30 s^2 (1-s)^2, vanishing to
-    second order at both ends.  A fractional endpoint factor u^a (u the
-    distance to the end) becomes s^(3a+2) under the substitution, regular
-    enough for fast Gauss-Legendre convergence even for the a in (0, 1)
-    that real exponents down to -1 produce after the mu_j measure shift;
-    integer-exponent integrands stay analytic.
-    """
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    s = 0.5 * (x + 1.0)
-    ds = 0.5 * w
-    # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
-    # or theta would leave its axis and cos(theta) turn negative
-    t = np.clip(s * s * s * (10.0 - 15.0 * s + 6.0 * s * s), 0.0, 1.0)
-    dt = 30.0 * s * s * (1.0 - s) ** 2
-    return t, ds * dt
-
-
 def _axis_data(dim: SphereDim, npoints: int):
     """Per-axis nodes and weights for the nested-angle chart of the mu sphere.
 
@@ -221,11 +197,26 @@ def _axis_data(dim: SphereDim, npoints: int):
     over [0, pi/2]; for even D position 1 is the sign-carrying mu_{n+1}, so
     theta_1 runs over [0, pi] and positions 2..n+1 are mu_1..mu_n.  Each
     axis weight collects the surface measure sin^(n-i), the Killing-angle
-    Jacobian factor mu_j for each weighted radius (exponent p below), and
-    the substitution derivative.
+    Jacobian factor mu_j for each weighted radius (the cos factor on every
+    axis but a full-range one), and the substitution derivative.
+
+    Each angle is its range times t(s), s a Gauss-Legendre node on [0,1]
+    and t(s) = 10 s^3 - 15 s^4 + 6 s^5 the quintic smootherstep, with
+    t'(s) = 30 s^2 (1-s)^2 vanishing to second order at both ends.  A
+    fractional endpoint factor u^a (u the distance to the end) becomes
+    s^(3a+2) under the substitution, regular enough for fast Gauss-Legendre
+    convergence even for the a in (0, 1) that real exponents down to -1
+    produce after the mu_j measure shift; integer-exponent integrands stay
+    analytic.  The table is cached per (dim, npoints), so its arrays are
+    read-only.
     """
     n = dim.n
-    t, w01 = _unit_nodes(npoints)
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    s = 0.5 * (x + 1.0)
+    # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
+    # or theta would leave its axis and cos(theta) turn negative
+    t = np.clip(s * s * s * (10.0 - 15.0 * s + 6.0 * s * s), 0.0, 1.0)
+    w01 = 0.5 * w * (30.0 * s * s * (1.0 - s) ** 2)
     axes = []
     for i in range(1, n + 1):
         full_range = dim.eps == 0 and i == 1
@@ -233,62 +224,53 @@ def _axis_data(dim: SphereDim, npoints: int):
         theta = length * t
         cos = np.cos(theta)
         sin = np.sin(theta)
-        p = 0 if full_range else 1
-        q = 2 * n + 1 - 2 * i
         weight = length * w01
-        if p:
+        if not full_range:
             weight = weight * cos
-        if q:
-            weight = weight * sin ** q
+        weight = weight * sin ** (2 * n + 1 - 2 * i)
+        for a in (cos, sin, weight):
+            a.flags.writeable = False
         axes.append((cos, sin, weight))
-    return axes
+    return tuple(axes)
 
 
-def _require_finite(vals: np.ndarray, rows: np.ndarray, first: Optional[int] = None) -> None:
-    # first is the MC sample index of rows[0]; None marks quadrature nodes
+def _values(f, arg, rows: np.ndarray, first: Optional[int] = None) -> np.ndarray:
+    """f(arg) as one finite float per row; first is rows[0]'s MC sample index."""
+    vals = np.asarray(f(arg), dtype=float)
+    if vals.shape != (len(rows),):
+        raise ValueError(f"integrand returned shape {vals.shape}, expected ({len(rows)},)")
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))
         where = "a quadrature node" if first is None else f"sample {first + i}"
         raise IntegrandError(f"integrand returned {vals[i]!r} at {where}", rows[i].copy())
+    return vals
 
 
-def _quad_tensor(dim: SphereDim, f, npoints: int):
+def _quad_tensor(dim: SphereDim, f, npoints: int) -> float:
     if dim.D == 1:
         # S^1 has mu_1 = 1 identically; only the angle integral remains.
         mus = np.array([[1.0]])
-        vals = np.asarray(f(mus), dtype=float)
-        _require_finite(vals, mus)
-        return 2.0 * math.pi * float(vals[0]), 1
+        return 2.0 * math.pi * float(_values(f, mus, mus)[0])
 
     n = dim.n
-    axes = _axis_data(dim, npoints)
-    cos0, sin0, w0 = axes[0]
-    inner_axes = axes[1:]
-    ninner = len(inner_axes)
-    inner_shape = tuple(npoints for _ in range(ninner))
-    inner_size = int(np.prod(inner_shape)) if ninner else 1
-
-    def expand(vec, j):
-        shape = [1] * ninner
-        shape[j] = npoints
-        return vec.reshape(shape)
-
+    (cos0, sin0, w0), *inner_axes = _axis_data(dim, npoints)
+    inner_size = npoints ** (n - 1)
     # chain position c -> mu column: in order for odd D; for even D the
     # sign-carrying position 0 is the last column
     columns = list(range(n + 1)) if dim.eps == 1 else [n] + list(range(n))
     # row-major template of the inner grid: chain positions 2..n+1 in their
     # mu columns, each missing the sin(theta_1) factor, and the weight
-    # product over the inner axes; the cos(theta_1) column is set per tile
+    # product over the inner axes, each built row-major one axis at a time;
+    # the cos(theta_1) column is set per tile
     template = np.zeros((inner_size, n + 1))
-    inner = template.reshape(inner_shape + (n + 1,))
-    prefix = np.ones(inner_shape)
-    w_inner = np.ones(inner_shape)
+    prefix = w_inner = np.ones(1)
     for j, (cos, sin, w) in enumerate(inner_axes):
-        np.multiply(prefix, expand(cos, j), out=inner[..., columns[j + 1]])
-        prefix = prefix * expand(sin, j)
-        w_inner = w_inner * expand(w, j)
-    np.copyto(inner[..., columns[n]], prefix)
+        column = np.multiply.outer(prefix, cos).ravel()
+        template[:, columns[j + 1]] = np.repeat(column, inner_size // column.size)
+        prefix = np.multiply.outer(prefix, sin).ravel()
+        w_inner = np.multiply.outer(w_inner, w).ravel()
+    template[:, columns[n]] = prefix
 
     block = min(npoints, max(1, _BLOCK_ELEMS // inner_size))
     # a tile is whole theta_1 rows of the template, or a slice of one row
@@ -298,13 +280,9 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
     vbuf = np.empty(block * inner_size)
     wbuf = np.empty(block * inner_size)
     total = 0.0
-    count = 0
     for start in range(0, npoints, block):
         stop = min(npoints, start + block)
-        b = stop - start
-        size = b * inner_size
-        lead = (b,) + tuple(1 for _ in range(ninner))
-        full = (b,) + inner_shape
+        size = (stop - start) * inner_size
         for i in range(start, stop, tile_rows):
             i_stop = min(stop, i + tile_rows)
             for a in range(0, inner_size, tile_span):
@@ -314,17 +292,12 @@ def _quad_tensor(dim: SphereDim, f, npoints: int):
                 tile = mus.reshape(i_stop - i, a_stop - a, n + 1)
                 np.multiply(sin0[i:i_stop, None, None], template[a:a_stop], out=tile)
                 np.copyto(tile[..., columns[0]], cos0[i:i_stop, None])
-                vals = np.asarray(f(mus), dtype=float)
-                if vals.shape != (m,):
-                    raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
-                _require_finite(vals, mus)
                 offset = (i - start) * inner_size + a
-                vbuf[offset : offset + m] = vals
+                vbuf[offset : offset + m] = _values(f, mus, mus)
         weights = wbuf[:size]
-        np.multiply(w0[start:stop].reshape(lead), w_inner, out=weights.reshape(full))
+        np.multiply(w0[start:stop, None], w_inner, out=weights.reshape(-1, inner_size))
         total += float(np.dot(vbuf[:size], weights))
-        count += size
-    return (2.0 * math.pi) ** dim.n_angles * total, count
+    return (2.0 * math.pi) ** dim.n_angles * total
 
 
 def quad_integrate(
@@ -343,8 +316,9 @@ def quad_integrate(
     pass I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
     converged result never reports a zero bound.
 
-    Refuses up front, with BudgetError (a ValueError), a refined grid past
-    the budget: 2N <= 2048 nodes per axis and (2N)^n <= 2^24 nodes in all.
+    Refuses nodes_per_axis < 8, below which that bound can miss the error
+    of I(2N), and up front, with BudgetError (a ValueError), a refined grid
+    past the budget: 2N <= 2048 nodes per axis and (2N)^n <= 2^24 in all.
     """
     dim = as_dim(dim)
     if dim.D > _MAX_QUAD_D:
@@ -354,8 +328,8 @@ def quad_integrate(
         )
     if isinstance(nodes_per_axis, bool) or not isinstance(nodes_per_axis, int):
         raise TypeError("nodes_per_axis must be an integer")
-    if nodes_per_axis < 2:
-        raise ValueError("nodes_per_axis must be >= 2")
+    if nodes_per_axis < _MIN_QUAD_NODES:
+        raise ValueError(f"nodes_per_axis must be >= {_MIN_QUAD_NODES}")
     refined = 2 * nodes_per_axis
     if refined > _MAX_QUAD_AXIS_NODES or refined ** dim.n > _MAX_QUAD_GRID_NODES:
         raise BudgetError(
@@ -363,13 +337,13 @@ def quad_integrate(
             f"its refined grid of {refined}^{dim.n} nodes may have at most "
             f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"
         )
-    coarse, count_coarse = _quad_tensor(dim, f, nodes_per_axis)
-    fine, count_fine = _quad_tensor(dim, f, refined)
+    coarse = _quad_tensor(dim, f, nodes_per_axis)
+    fine = _quad_tensor(dim, f, refined)
     bound = abs(fine - coarse) + 1e-13 * abs(fine)
     return OracleEstimate(
         value=fine,
         error=bound,
-        samples_or_nodes=count_coarse + count_fine,
+        samples_or_nodes=nodes_per_axis ** dim.n + refined ** dim.n,
         method="quad",
     )
 

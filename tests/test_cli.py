@@ -323,13 +323,15 @@ def test_exit_domain_errors(capsys):
         assert err.startswith("error:"), argv
 
 
-def test_exit_oracle_disagreement(tmp_path, capsys):
+def test_exit_oracle_disagreement(tmp_path, capsys, monkeypatch):
     f = tmp_path / "p.poly"
     f.write_text("1/2 2 2 0\n3 0 0 0\n")
     tight = ["--verify", "--sigma", "0.01"]
+    # a wrong closed form (3 pi^2 for 8/3 pi^2), caught by quadrature's sigma <= 1
+    monkeypatch.setattr("sphereint.cli.sphere_volume", lambda dim: PiRational(Fraction(3), 4))
     cases = [
         ["mu-power", "--D", "2", "--alpha", "2", "--seed", "5", "--samples", "2000", *tight],
-        ["volume", "--D", "4", "--verify", "--oracle", "quad", "--nodes", "2"],
+        ["volume", "--D", "4", "--verify", "--oracle", "quad"],
         ["dirichlet", "--n", "2", "--alpha", "2,0,0", "--signed", *tight],
         ["fluid", "--D", "2", "--omega", "0.6", *tight],
         ["integrate-poly", "--n", "2", "--file", str(f), *tight],

@@ -17,7 +17,6 @@ from sphereint.exactpi import (
     DomainError,
     PiRational,
     gamma_half,
-    pi_power,
     to_float,
 )
 import sphereint.oracle

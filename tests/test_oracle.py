@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphereint.exactpi import DomainError, PiRational, to_float
-from sphereint.fluid import FluidParams, gamma_power_values
+from sphereint.fluid import FluidParams, fluid_closed, gamma_power_values
 from sphereint.integrals import SphereDim, mu_power_float, poly_integrate, sphere_volume
 from sphereint.oracle import (
     _CHUNK,
+    _MAX_QUAD_AXIS_NODES,
+    _MAX_QUAD_GRID_NODES,
+    _MIN_QUAD_NODES,
     _TILE_ELEMS,
     IntegrandError,
     MCConfig,
@@ -19,7 +24,7 @@ from sphereint.oracle import (
     polynomial_values,
     quad_integrate,
     sample_batch,
-    _unit_nodes,
+    _axis_data,
 )
 
 
@@ -30,6 +35,8 @@ def test_config_validation():
         MCConfig(seed=0, samples=0)
     with pytest.raises(ValueError):
         MCConfig(seed=True, samples=10)
+    with pytest.raises(ValueError):
+        MCConfig(seed=0, samples=True)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
@@ -181,6 +188,13 @@ def test_mc_shape_check():
         mc_integrate(2, lambda b: np.ones((len(b), 2)), MCConfig(seed=3, samples=16))
 
 
+def test_quad_shape_check():
+    # S^1 has one node, and it is checked like every other grid
+    for D in (1, 3):
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            quad_integrate(D, lambda mus: np.ones(3 * mus.shape[0]), nodes_per_axis=8)
+
+
 def test_quad_constant_matches_volume():
     for D in (1, 2, 3, 4, 5, 7, 9):
         est = quad_integrate(D, lambda mus: np.ones(mus.shape[0]), nodes_per_axis=16)
@@ -254,7 +268,7 @@ def test_quad_frozen_bits(kind, D, params, nodes, value, error):
 def test_quad_integrand_gets_a_row_major_grid():
     # one tile of at most _TILE_ELEMS rows per call, whether a tile is a
     # slice of one theta_1 row (D = 9, N = 17) or several whole rows
-    for D, nodes in ((9, 17), (9, 8), (4, 8), (2, 5)):
+    for D, nodes in ((9, 17), (9, 8), (4, 8), (2, 8)):
         seen = []
 
         def f(mus):
@@ -284,19 +298,29 @@ def test_quad_nodes_stay_on_their_axis():
     # unclipped, the smootherstep rounds past 1 at some node counts from 555
     # on, and a fractional power of the then negative cos(theta) is NaN
     for npoints in (300, 555, 600, 1024):
-        t, _ = _unit_nodes(npoints)
-        assert t.min() >= 0.0 and t.max() <= 1.0
+        for cos, sin, _ in _axis_data(SphereDim(5), npoints):
+            assert cos.min() >= 0.0 and sin.min() >= 0.0
     alphas = (2.5, 0)
     est = quad_integrate(3, lambda mus: mu_power_values(mus, alphas), nodes_per_axis=300)
     assert abs(est.value - mu_power_float(3, alphas)) <= est.error
+
+
+def test_quad_axis_table_is_cached_and_read_only():
+    axes = _axis_data(SphereDim(7), 16)
+    assert _axis_data(SphereDim(7), 16) is axes  # an equal key, not the same object
+    for array in (a for axis in axes for a in axis):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_quad_refuses_high_dim_and_bad_nodes():
     f = lambda mus: np.ones(mus.shape[0])
     with pytest.raises(DomainError):
         quad_integrate(10, f)
-    with pytest.raises(ValueError):
-        quad_integrate(3, f, nodes_per_axis=1)
+    for nodes in (1, 7):
+        with pytest.raises(ValueError):
+            quad_integrate(3, f, nodes_per_axis=nodes)
     with pytest.raises(TypeError):
         quad_integrate(3, f, nodes_per_axis=16.0)
 
@@ -315,6 +339,45 @@ def test_quad_refuses_a_grid_past_its_budget():
     assert quad_integrate(9, f, nodes_per_axis=32).samples_or_nodes == 32**4 + 64**4
 
 
+def _largest_nodes(D):
+    """The largest nodes_per_axis inside the quadrature budget on S^D."""
+    n = D // 2
+    return min(_MAX_QUAD_AXIS_NODES, round(_MAX_QUAD_GRID_NODES ** (1 / n))) // 2
+
+
+@st.composite
+def _quad_cases(draw):
+    D = draw(st.integers(2, 9))
+    k = SphereDim(D).n_angles
+    # mostly small grids: one pass at the budget takes up to half a second
+    N = draw(st.one_of(st.integers(_MIN_QUAD_NODES, 16),
+                       st.integers(_MIN_QUAD_NODES, _largest_nodes(D))))
+    if draw(st.booleans()):
+        return D, N, "mu", tuple(draw(st.lists(st.floats(-1, 6), min_size=k, max_size=k)))
+    return D, N, "fluid", tuple(draw(st.lists(st.floats(-0.9, 0.9), min_size=k, max_size=k)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quad_cases())
+@example((2, _MIN_QUAD_NODES, "mu", (-1.0,)))
+@example((9, _MIN_QUAD_NODES, "mu", (-1.0, 6.0, 0.5, -0.5, 2.0)))
+@example((2, _largest_nodes(2), "mu", (6.0,)))  # the grid of the budget test above
+@example((9, _largest_nodes(9), "fluid", (0.9, -0.9, 0.9, 0.5, 0.0)))
+def test_quad_error_bar_covers_the_truth(case):
+    # the reported bound must hold at every accepted nodes_per_axis: the CLI
+    # judges quadrature agreement by sigma <= 1.  Known exception, outside
+    # these draws: the two passes can agree by chance just above the floor,
+    # as mu_power_values(mus, (6, -1, 6, -1, 6)) on S^9 does at N = 8
+    D, N, kind, params = case
+    if kind == "mu":
+        f, truth = (lambda mus: mu_power_values(mus, params)), mu_power_float(D, params)
+    else:
+        fluid = FluidParams(D, params)
+        f, truth = (lambda mus: gamma_power_values(mus, fluid)), fluid_closed(fluid)
+    est = quad_integrate(D, f, nodes_per_axis=N)
+    assert abs(est.value - truth) <= est.error
+
+
 def test_quad_integrand_error_carries_radii():
     seen = []
 
@@ -325,7 +388,7 @@ def test_quad_integrand_error_carries_radii():
         return out
 
     with pytest.raises(IntegrandError, match="at a quadrature node") as err:
-        quad_integrate(4, bad, nodes_per_axis=4)
+        quad_integrate(4, bad, nodes_per_axis=8)
     row = err.value.row
     assert row.shape == (3,) and np.array_equal(row, seen[0])
     assert row.base is None  # a copy: it pins no grid buffer
