@@ -20,16 +20,12 @@ unreadable or malformed polynomial file.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
 
 from .exactpi import BudgetError, DomainError, PiRational, to_float
-from .fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 from .integrals import (
     SphereDim,
     dirichlet_abs,
@@ -224,7 +220,6 @@ def _headline(value, decimal: float, digits: int) -> str:
     return _fmt(decimal, digits)
 
 
-@dataclass
 class _Spec:
     """A closed value and the integrands the oracles check it with.
 
@@ -237,18 +232,14 @@ class _Spec:
     converted once.
     """
 
-    inputs: dict
-    closed: Union[PiRational, float]
-    dim: Union[SphereDim, int]
-    quad_f: Optional[Callable] = None
-    mc_f: Optional[Callable] = None
-    quad_dim: Optional[SphereDim] = None
-    quad_scale: float = 1.0
-    refusal: Optional[str] = None
-    second: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        self.decimal = _decimal_of(self.closed)
+    def __init__(self, inputs: dict, closed: PiRational | float, dim: SphereDim | int,
+                 quad_f=None, mc_f=None, quad_dim: SphereDim | None = None,
+                 quad_scale: float = 1.0, refusal: str | None = None):
+        self.inputs, self.closed, self.dim = inputs, closed, dim
+        self.quad_f, self.mc_f, self.quad_dim = quad_f, mc_f, quad_dim
+        self.quad_scale, self.refusal = quad_scale, refusal
+        self.second = None
+        self.decimal = _decimal_of(closed)
 
 
 def _run(spec: _Spec, args, out) -> int:
@@ -281,6 +272,8 @@ def _run(spec: _Spec, args, out) -> int:
         lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
                   f"agreement sigma = {sig:.3g}", f"status = {status}"]
     if args.json:
+        import json
+
         report = _report(args.command, spec.inputs, spec.closed, decimal, ov, oe, sig, status)
         out.write(json.dumps(report, sort_keys=True) + "\n")
     else:
@@ -329,6 +322,8 @@ def _mu_power(args) -> _Spec:
 
 
 def _fluid(args) -> _Spec:
+    from .fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
+
     omegas = [float(w) for w in _number_list(
         args.omega, "pass --omega, one angular velocity per rotation circle")]
     params = FluidParams(args.D, omegas)
@@ -425,6 +420,8 @@ def _cmd_sample(args, out):
         )
     blocks = _sample_blocks(dim, args.seed, args.count)
     if args.json:
+        import json
+
         report = _report("sample", {"D": args.D, "seed": args.seed, "count": args.count})
         report["points"] = []
         # the bytes of json.dumps(report) with every point in "points"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -40,8 +39,43 @@ def _as_half_integer(a: int | Fraction) -> Fraction:
     return a
 
 
-@dataclass(frozen=True)
-class PiRational:
+class _Frozen:
+    """Base of the immutable value types: the fields are the __slots__, in order.
+
+    Equal fields make equal values with equal hashes, and only values of the
+    same class compare; there is no ordering.  __init__ validates and sets
+    the fields with object.__setattr__; any later assignment raises
+    AttributeError.  Copies and pickles rebuild through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class PiRational(_Frozen):
     """Exact value q * pi^(m/2).
 
     q is kept fully reduced (Fraction does that), and q == 0 forces m == 0,
@@ -52,15 +86,12 @@ class PiRational:
     bug in the caller, never something to coerce through floats.
     """
 
-    q: Fraction
-    m: int = 0
+    __slots__ = ("q", "m")
 
-    def __post_init__(self) -> None:
-        q = self.q
+    def __init__(self, q: Fraction, m: int = 0):
         if isinstance(q, float):
             raise TypeError("PiRational coefficient must be exact (int or Fraction)")
         q = Fraction(q)
-        m = self.m
         if isinstance(m, bool) or not isinstance(m, int):
             raise TypeError("pi power m must be an integer")
         if q == 0:

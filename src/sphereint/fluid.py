@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .exactpi import BudgetError, DomainError, to_float
+from .exactpi import BudgetError, DomainError, _Frozen, to_float
 from .integrals import SphereDim, as_dim, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
@@ -29,18 +29,16 @@ _SERIES_MAX_ORDER = 1000
 _SERIES_MAX_TERMS = 10**6
 
 
-@dataclass(frozen=True)
-class FluidParams:
+class FluidParams(_Frozen):
     """Sphere dimension plus one angular velocity per coordinate circle.
 
     Every w_j must satisfy w_j^2 < 1, otherwise the fluid would reach the
     speed of light somewhere on the sphere and the integral diverges.
     """
 
-    dim: SphereDim
-    omegas: Tuple[float, ...]
+    __slots__ = ("dim", "omegas")
 
-    def __init__(self, dim: Union[SphereDim, int], omegas: Sequence[float]):
+    def __init__(self, dim: SphereDim | int, omegas: Sequence[float]):
         dim = as_dim(dim)
         omegas = tuple(float(w) for w in omegas)
         if len(omegas) != dim.n_angles:
@@ -72,8 +70,8 @@ def fluid_closed(params: FluidParams) -> float:
     return to_float(sphere_volume(params.dim)) / denom
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(namedtuple(
+        "SeriesResult", "value terms_used last_term_magnitude truncation_order")):
     """Truncated series value plus convergence bookkeeping.
 
     last_term_magnitude is the contribution of the boundary shell (total
@@ -81,10 +79,7 @@ class SeriesResult:
     in the truncation order since every term is non-negative.
     """
 
-    value: float
-    terms_used: int
-    last_term_magnitude: float
-    truncation_order: int
+    __slots__ = ()
 
 
 def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:

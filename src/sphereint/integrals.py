@@ -32,20 +32,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
-from .exactpi import DomainError, PiRational, gamma_half
+from .exactpi import DomainError, PiRational, _Frozen, gamma_half
 
-Number = Union[int, float]
+Number = int | float
 
 # the float paths refuse a result whose estimated relative error exceeds this
 _FLOAT_MAX_REL_ERR = 1e-10
 
 
-@dataclass(frozen=True)
-class SphereDim:
+class SphereDim(_Frozen):
     """Dimension bookkeeping for the unit sphere S^D in R^(D+1).
 
     D = 2n + eps with eps = D mod 2.  There are n + eps angle/radius pairs
@@ -53,13 +51,14 @@ class SphereDim:
     unpaired coordinate and carries a sign.
     """
 
-    D: int
+    __slots__ = ("D",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.D, bool) or not isinstance(self.D, int):
-            raise TypeError(f"sphere dimension must be an integer, got {self.D!r}")
-        if self.D < 1:
-            raise DomainError(f"sphere dimension must be >= 1, got {self.D}")
+    def __init__(self, D: int):
+        if isinstance(D, bool) or not isinstance(D, int):
+            raise TypeError(f"sphere dimension must be an integer, got {D!r}")
+        if D < 1:
+            raise DomainError(f"sphere dimension must be >= 1, got {D}")
+        object.__setattr__(self, "D", D)
 
     @property
     def n(self) -> int:
@@ -79,7 +78,7 @@ class SphereDim:
         return self.n + 1
 
 
-def as_dim(dim: Union[SphereDim, int]) -> SphereDim:
+def as_dim(dim: SphereDim | int) -> SphereDim:
     if isinstance(dim, SphereDim):
         return dim
     return SphereDim(dim)
@@ -155,7 +154,7 @@ def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> flo
     return out
 
 
-def sphere_volume(dim: Union[SphereDim, int]) -> PiRational:
+def sphere_volume(dim: SphereDim | int) -> PiRational:
     """Total volume of S^D: 2 pi^((D+1)/2) / Gamma((D+1)/2), exactly."""
     dim = as_dim(dim)
     return _gamma_quotient(dim.D + 1, 0, (), dim.D + 1)
@@ -186,9 +185,7 @@ def dirichlet_signed(n: int, alphas: Sequence[int]) -> PiRational:
     return _gamma_quotient(0, 1, alphas, n + 1)
 
 
-def poly_integrate(
-    n: int, poly: Mapping[Sequence[int], Union[int, Fraction]]
-) -> PiRational:
+def poly_integrate(n: int, poly: Mapping[Sequence[int], int | Fraction]) -> PiRational:
     """Exact integral over S^n of a polynomial in the embedding coordinates.
 
     poly maps exponent tuples (length n+1, non-negative ints) to rational
@@ -208,7 +205,7 @@ def poly_integrate(
     return total
 
 
-def dirichlet_abs(n: int, alphas: Sequence[Number]) -> Union[PiRational, float]:
+def dirichlet_abs(n: int, alphas: Sequence[Number]) -> PiRational | float:
     """Integral over S^n of prod |x_j|^(a_j) for real a_j >= 0.
 
     Exact PiRational when every exponent is an int; floating otherwise.
@@ -231,9 +228,7 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     return _lgamma_quotient(0, 1, alphas, n + 1)
 
 
-def mu_power_integral(
-    dim: Union[SphereDim, int], alphas: Sequence[Number]
-) -> Union[PiRational, float]:
+def mu_power_integral(dim: SphereDim | int, alphas: Sequence[Number]) -> PiRational | float:
     """Integral over S^D of prod mu_j^(a_j), one exponent per polar radius pair.
 
     Value: 2 pi^((D+1)/2) prod Gamma(1 + a_j/2) / Gamma((D+1)/2 + sum a_j / 2)
@@ -246,7 +241,7 @@ def mu_power_integral(
     return kernel(dim.D + 1, 2, alphas, dim.D + 1)
 
 
-def mu_power_float(dim: Union[SphereDim, int], alphas: Sequence[Number]) -> float:
+def mu_power_float(dim: SphereDim | int, alphas: Sequence[Number]) -> float:
     """Floating-point path for mu_power_integral, via log-Gamma only.
 
     Raises DomainError for exponents so large that the log-Gamma terms
@@ -257,9 +252,7 @@ def mu_power_float(dim: Union[SphereDim, int], alphas: Sequence[Number]) -> floa
     return _lgamma_quotient(dim.D + 1, 2, alphas, dim.D + 1)
 
 
-def reduction_rhs(
-    dim: Union[SphereDim, int], alphas: Sequence[Number]
-) -> Union[PiRational, float]:
+def reduction_rhs(dim: SphereDim | int, alphas: Sequence[Number]) -> PiRational | float:
     """Right-hand side of the sphere-within-a-sphere reduction.
 
     pi^(n+eps) times the S^n integral of prod |mu_j|^(a_j + 1), the
@@ -277,7 +270,7 @@ def reduction_rhs(
     return math.pi ** dim.n_angles * dirichlet_abs_float(dim.n, shifted)
 
 
-def term_integral(dim: Union[SphereDim, int], ks: Sequence[int]) -> PiRational:
+def term_integral(dim: SphereDim | int, ks: Sequence[int]) -> PiRational:
     """Integral over S^D of prod mu_j^(2 k_j) for non-negative integers k_j.
 
     Specializing the Gamma factors to integers gives

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .exactpi import BudgetError, DomainError
+from .exactpi import BudgetError, DomainError, _Frozen
 from .integrals import SphereDim, as_dim
 
 _CHUNK = 1 << 17
@@ -40,21 +40,20 @@ _MAX_QUAD_AXIS_NODES = 2048
 _MAX_QUAD_GRID_NODES = 1 << 24
 
 
-@dataclass(frozen=True)
-class MCConfig:
+class MCConfig(_Frozen):
     """Seeded Monte Carlo configuration; identical configs give identical estimates."""
 
-    seed: int
-    samples: int
+    __slots__ = ("seed", "samples")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples!r}")
+    def __init__(self, seed: int, samples: int):
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples!r}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
 
 
-@dataclass(frozen=True)
 class PointBatch:
     """Vectorized sample block on S^D; rows of xs/mus/phis line up.
 
@@ -64,8 +63,9 @@ class PointBatch:
     and cached, so an integrand that reads xs alone never pays for them.
     """
 
-    dim: SphereDim
-    xs: np.ndarray
+    def __init__(self, dim: SphereDim, xs: np.ndarray):
+        self.dim = dim
+        self.xs = xs
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -94,8 +94,7 @@ class IntegrandError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class OracleEstimate:
+class OracleEstimate(namedtuple("OracleEstimate", "value error samples_or_nodes method")):
     """Estimate plus its honesty bound.
 
     error is the standard error of the mean for method == "mc" and the
@@ -103,10 +102,7 @@ class OracleEstimate:
     integrand evaluations.
     """
 
-    value: float
-    error: float
-    samples_or_nodes: int
-    method: str
+    __slots__ = ()
 
 
 def _volume_float(dim: SphereDim) -> float:
@@ -133,14 +129,14 @@ def _iter_xs_chunks(dim: SphereDim, config: MCConfig) -> Iterator[np.ndarray]:
         remaining -= m
 
 
-def sample_batch(dim: Union[SphereDim, int], config: MCConfig) -> PointBatch:
+def sample_batch(dim: SphereDim | int, config: MCConfig) -> PointBatch:
     """All requested samples as one PointBatch (same stream as mc_integrate)."""
     dim = as_dim(dim)
     return PointBatch(dim, np.concatenate(list(_iter_xs_chunks(dim, config))))
 
 
 def mc_integrate(
-    dim: Union[SphereDim, int],
+    dim: SphereDim | int,
     f: Callable[[PointBatch], np.ndarray],
     config: MCConfig,
 ) -> OracleEstimate:
@@ -183,6 +179,14 @@ def mc_integrate(
 
 
 @lru_cache(maxsize=None)
+def _leggauss(npoints: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: every dimension shares them."""
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=None)
 def _axis_data(dim: SphereDim, npoints: int):
     """Per-axis nodes and weights for the nested-angle chart of the mu sphere.
 
@@ -211,7 +215,7 @@ def _axis_data(dim: SphereDim, npoints: int):
     read-only.
     """
     n = dim.n
-    x, w = np.polynomial.legendre.leggauss(npoints)
+    x, w = _leggauss(npoints)
     s = 0.5 * (x + 1.0)
     # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
     # or theta would leave its axis and cos(theta) turn negative
@@ -234,7 +238,7 @@ def _axis_data(dim: SphereDim, npoints: int):
     return tuple(axes)
 
 
-def _values(f, arg, rows: np.ndarray, first: Optional[int] = None) -> np.ndarray:
+def _values(f, arg, rows: np.ndarray, first: int | None = None) -> np.ndarray:
     """f(arg) as one finite float per row; first is rows[0]'s MC sample index."""
     vals = np.asarray(f(arg), dtype=float)
     if vals.shape != (len(rows),):
@@ -301,7 +305,7 @@ def _quad_tensor(dim: SphereDim, f, npoints: int) -> float:
 
 
 def quad_integrate(
-    dim: Union[SphereDim, int],
+    dim: SphereDim | int,
     f: Callable[[np.ndarray], np.ndarray],
     nodes_per_axis: int = 32,
 ) -> OracleEstimate:
@@ -353,7 +357,7 @@ def quad_integrate(
 
 
 def monomial_values(
-    xs: np.ndarray, exps: Sequence[Union[int, float]], absolute: bool = False
+    xs: np.ndarray, exps: Sequence[int | float], absolute: bool = False
 ) -> np.ndarray:
     """prod_j xs[:, j]^(e_j), optionally with |xs| as the base."""
     base = np.abs(xs) if absolute else xs
@@ -370,7 +374,7 @@ mu_power_values = monomial_values
 
 
 def polynomial_values(
-    xs: np.ndarray, poly: Mapping[Sequence[int], Union[int, Fraction]]
+    xs: np.ndarray, poly: Mapping[Sequence[int], int | Fraction]
 ) -> np.ndarray:
     out = np.zeros(xs.shape[0])
     for exps in sorted(poly):

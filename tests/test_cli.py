@@ -404,24 +404,29 @@ def test_verify_mc_paths(capsys):
 
 # -- imports ----------------------------------------------------------------
 
+# One fresh `python -S` child per command, so that `site` preloads nothing
+# (a .pth file may import typing) and each command's module set is its own.
+# The parent's path entries go after the standard library, so numpy and
+# mpmath stay importable without shadowing a standard module.
 _TRACK_IMPORTS = """
 import contextlib, io, json, sys
-import sphereint
-from sphereint.cli import main
+sys.path += [p for p in json.loads(sys.argv[2]) if p not in sys.path]
+TRACKED = {"numpy", "mpmath", "dataclasses", "inspect", "typing"}
 def loaded():
-    return {name: name in sys.modules for name in ("numpy", "mpmath")}
-log = [["import sphereint", None, loaded()]]
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    log.append([argv, code, loaded()])
-print(json.dumps(log))
+    return sorted(m for m in sys.modules if m in TRACKED or m.startswith("sphereint."))
+import sphereint
+bare = loaded()
+from sphereint.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([bare, code, loaded()]))
 """
 
 
 @pytest.fixture(scope="module")
 def tracked_imports(tmp_path_factory):
-    """(exact argvs, oracle argvs, log) from one fresh process that runs them in order."""
+    """(exact argvs, oracle argvs, [modules after import sphereint, exit code,
+    modules after the command] per argv, each from its own fresh process)."""
     f = tmp_path_factory.mktemp("poly") / "p.poly"
     f.write_text("1/2 2 2 0\n3 0 0 0\n")
     exact = [
@@ -431,7 +436,7 @@ def tracked_imports(tmp_path_factory):
         ["mu-power", "--D", "5", "--alpha", "2,0,-1"],
         ["reduce", "--D", "5", "--alpha", "1.5,0,2"],
         ["fluid", "--D", "2", "--omega", "0.6"],
-        ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series"],
+        ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--json"],
         ["integrate-poly", "--n", "2", "--file", str(f)],
         ["volume", "--D", "0"],  # a refusal
     ]
@@ -440,26 +445,50 @@ def tracked_imports(tmp_path_factory):
         ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--oracle", "quad"],
         ["sample", "--D", "2", "--count", "3"],
     ]
-    r = subprocess.run([sys.executable, "-c", _TRACK_IMPORTS, json.dumps(exact + oracle)],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    return exact, oracle, json.loads(r.stdout)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    log = []
+    for argv in exact + oracle:
+        r = subprocess.run([sys.executable, "-S", "-c", _TRACK_IMPORTS, json.dumps(argv),
+                            json.dumps(sys.path)],
+                           capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert r.returncode == 0, r.stderr
+        log.append(json.loads(r.stdout))
+    return exact, oracle, log
+
+
+def test_import_sphereint_loads_no_submodule(tracked_imports):
+    # no sphereint.* submodule, nor numpy, mpmath, dataclasses, inspect or typing
+    _, _, log = tracked_imports
+    assert [bare for bare, _, _ in log] == [[]] * len(log)
 
 
 def test_exact_commands_do_not_import_numpy(tracked_imports):
     exact, oracle, log = tracked_imports
-    numpy = [[argv, code, loaded["numpy"]] for argv, code, loaded in log]
-    assert numpy[0] == ["import sphereint", None, False]
-    assert numpy[1:len(exact)] == [[argv, 0, False] for argv in exact[:-1]]
-    assert numpy[len(exact)] == [exact[-1], 2, False]
-    assert numpy[len(exact) + 1:] == [[argv, 0, True] for argv in oracle]
+    numpy = [[argv, code, "numpy" in after] for argv, (_, code, after) in zip(exact + oracle, log)]
+    assert numpy[:len(exact) - 1] == [[argv, 0, False] for argv in exact[:-1]]
+    assert numpy[len(exact) - 1] == [exact[-1], 2, False]
+    assert numpy[len(exact):] == [[argv, 0, True] for argv in oracle]
+
+
+def test_exact_commands_load_no_dataclasses_inspect_or_typing(tracked_imports):
+    exact, _, log = tracked_imports
+    heavy = {"dataclasses", "inspect", "typing", "numpy"}
+    assert [[argv, sorted(heavy & set(after))] for argv, (_, _, after) in zip(exact, log)
+            if heavy & set(after)] == []
+
+
+def test_only_fluid_commands_load_fluid(tracked_imports):
+    exact, oracle, log = tracked_imports
+    fluid = [argv for argv, (_, _, after) in zip(exact + oracle, log)
+             if "sphereint.fluid" in after]
+    assert fluid == [argv for argv in exact + oracle if argv[0] == "fluid"]
 
 
 def test_no_command_imports_mpmath(tracked_imports):
     # mpmath is a test-only reference: to_float is standard-library integer arithmetic
     exact, oracle, log = tracked_imports
-    assert len(log) == 1 + len(exact) + len(oracle)
-    assert [entry for entry in log if entry[2]["mpmath"]] == []
+    assert len(log) == len(exact) + len(oracle)
+    assert [argv for argv, (_, _, after) in zip(exact + oracle, log) if "mpmath" in after] == []
 
 
 def test_public_names_resolve():

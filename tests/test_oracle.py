@@ -25,6 +25,7 @@ from sphereint.oracle import (
     quad_integrate,
     sample_batch,
     _axis_data,
+    _leggauss,
 )
 
 
@@ -312,6 +313,22 @@ def test_quad_axis_table_is_cached_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_quad_rule_is_computed_once_per_node_count(monkeypatch):
+    # the axis tables are per (dim, N), the Gauss-Legendre rule per N alone
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    _leggauss.cache_clear()
+    _axis_data.cache_clear()
+    f = lambda mus: np.ones(mus.shape[0])
+    for D in (3, 5, 8):
+        quad_integrate(D, f, nodes_per_axis=16)
+    assert sorted(calls) == [16, 32]
+    x, w = _leggauss(16)
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_quad_refuses_high_dim_and_bad_nodes():
