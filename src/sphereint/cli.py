@@ -14,7 +14,8 @@ or conflicting flag, a flag value out of range (--samples, --count and
 > 0), a --kmax past the series caps, a --nodes past the quadrature
 budget, a sample --count with count * (D+1) past 2^20 coordinates, an
 integer exponent or D whose exact Gamma argument is past 25000, and an
-unreadable or malformed polynomial file.
+unreadable or malformed polynomial file (a coefficient whose decimal
+exponent is past +-4300 among them).
 """
 
 from __future__ import annotations
@@ -157,6 +158,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Fraction writes a decimal exponent out as a whole integer ("1e1000000000"
+# would run for minutes); past this bound, Python's default limit on the
+# digits of an integer literal, a coefficient is refused before it is built
+_MAX_COEFF_EXPONENT = 4300
+
+
 def parse_polynomial(text: str, n: int) -> dict:
     """Parse 'coefficient e1 ... e_(n+1)' lines; # starts a comment."""
     poly = {}
@@ -170,10 +177,15 @@ def parse_polynomial(text: str, n: int) -> dict:
                 f"line {lineno}: expected a coefficient and {n + 1} exponents, "
                 f"got {len(parts)} fields"
             )
+        exponent = parts[0].lower().partition("e")[2]
         try:
-            coeff = Fraction(parts[0])
+            big = bool(exponent) and abs(int(exponent)) > _MAX_COEFF_EXPONENT
+            coeff = None if big else Fraction(parts[0])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad coefficient {parts[0]!r}; write p/q or an integer")
+        if big:
+            raise ValueError(f"line {lineno}: coefficient {parts[0]!r} has a decimal exponent "
+                             f"past +-{_MAX_COEFF_EXPONENT}")
         try:
             exps = tuple(int(p) for p in parts[1:])
         except ValueError:
@@ -187,7 +199,9 @@ def parse_polynomial(text: str, n: int) -> dict:
 
 
 def _fmt(value: float, digits: int) -> str:
-    return f"{value:.{digits}g}"
+    # a double's exact decimal expansion has at most 767 significant digits,
+    # so any larger precision prints the same text; format refuses 2^31 and up
+    return f"{value:.{min(digits, 767)}g}"
 
 
 def _sigma_of(diff: float, se: float, scale: float) -> float:
@@ -205,7 +219,8 @@ def _report(operation, inputs, closed=None, decimal=None, oracle_value=None,
         "decimal": decimal,
         "oracle_value": oracle_value,
         "oracle_error": oracle_error,
-        "agreement_sigma": agreement_sigma,
+        # JSON has no Infinity, so a check that failed with a zero error says null
+        "agreement_sigma": agreement_sigma if agreement_sigma != math.inf else None,
         "status": status,
     }
 
@@ -220,75 +235,64 @@ def _headline(value, decimal: float, digits: int) -> str:
     return _fmt(decimal, digits)
 
 
-class _Spec:
-    """A closed value and the integrands the oracles check it with.
-
-    quad_f maps polar radii to values; a spec without it sets refusal for
-    --oracle quad.  mc_f maps a PointBatch and defaults to quad_f on its
-    radii.  quad_dim and quad_scale lift quad_f onto another sphere.
-    refusal says why --verify cannot run.  second is the (value, error,
-    sigma, status, lines) of a check the builder ran in the oracle's place,
-    lines being the whole text report.  decimal is closed as a float,
-    converted once.
-    """
-
-    def __init__(self, inputs: dict, closed: PiRational | float, dim: SphereDim | int,
-                 quad_f=None, mc_f=None, quad_dim: SphereDim | None = None,
-                 quad_scale: float = 1.0, refusal: str | None = None):
-        self.inputs, self.closed, self.dim = inputs, closed, dim
-        self.quad_f, self.mc_f, self.quad_dim = quad_f, mc_f, quad_dim
-        self.quad_scale, self.refusal = quad_scale, refusal
-        self.second = None
-        self.decimal = _decimal_of(closed)
-
-
-def _run(spec: _Spec, args, out) -> int:
-    """Headline, optional oracle check, report and exit code for one spec."""
-    decimal = spec.decimal
-    lines = [_headline(spec.closed, decimal, args.digits)]
-    ov = oe = sig = None
-    status = "ok"
-    if spec.second is not None:
-        ov, oe, sig, status, lines = spec.second
-    elif args.verify:
-        if spec.refusal:
-            raise DomainError(spec.refusal)
-        spec.inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
-        if spec.quad_f is not None:
-            spec.inputs["nodes"] = args.nodes
-        oracle = _oracle()
-        if args.oracle == "mc":
-            mc_f = spec.mc_f or (lambda b: spec.quad_f(b.mus))
-            est = oracle.mc_integrate(spec.dim, mc_f, oracle.MCConfig(args.seed, args.samples))
-            ov, oe = est.value, est.error
-            sig = _sigma_of(abs(decimal - ov), oe, decimal)
-            ok = sig <= args.sigma
-        else:
-            est = oracle.quad_integrate(spec.quad_dim or spec.dim, spec.quad_f, args.nodes)
-            ov, oe = est.value * spec.quad_scale, est.error * abs(spec.quad_scale)
-            sig = abs(decimal - ov) / oe
-            ok = sig <= 1.0
-        status = "ok" if ok else "disagree"
-        lines += [f"oracle ({args.oracle}) = {_fmt(ov, args.digits)} +- {oe:.3g}",
-                  f"agreement sigma = {sig:.3g}", f"status = {status}"]
+def _write(args, inputs, closed, decimal, lines, oracle_value=None, oracle_error=None,
+           sigma=None, status="ok") -> int:
+    """Print the text lines, or the JSON report under --json; exit 0 if ok, else 3."""
     if args.json:
         import json
 
-        report = _report(args.command, spec.inputs, spec.closed, decimal, ov, oe, sig, status)
-        out.write(json.dumps(report, sort_keys=True) + "\n")
+        report = _report(args.command, inputs, closed, decimal, oracle_value, oracle_error,
+                         sigma, status)
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
-        out.write("".join(line + "\n" for line in lines))
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return 0 if status == "ok" else 3
 
 
-def _volume(args) -> _Spec:
+def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None) -> int:
+    """Report a closed value, checked under --verify by an MC or quadrature oracle.
+
+    quad is (sphere, f, scale): quadrature integrates f over the polar radii
+    of that sphere, times scale; a command without it refuses --oracle quad.
+    mc_f maps a PointBatch on S^dim and defaults to quad's f on its radii.
+    refusal says why --verify cannot run.
+    """
+    decimal = _decimal_of(closed)
+    lines = [_headline(closed, decimal, args.digits)]
+    if not args.verify:
+        return _write(args, inputs, closed, decimal, lines)
+    if refusal:
+        raise DomainError(refusal)
+    inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
+    if quad:
+        inputs["nodes"] = args.nodes
+    oracle = _oracle()
+    if args.oracle == "mc":
+        mc_f = mc_f or (lambda b: quad[1](b.mus))
+        est = oracle.mc_integrate(dim, mc_f, oracle.MCConfig(args.seed, args.samples))
+        value, error = est.value, est.error
+        sigma = _sigma_of(abs(decimal - value), error, decimal)
+        ok = sigma <= args.sigma
+    else:
+        sphere, f, scale = quad
+        est = oracle.quad_integrate(sphere, f, args.nodes)
+        value, error = est.value * scale, est.error * scale
+        sigma = abs(decimal - value) / error
+        ok = sigma <= 1.0
+    status = "ok" if ok else "disagree"
+    lines += [f"oracle ({args.oracle}) = {_fmt(value, args.digits)} +- {error:.3g}",
+              f"agreement sigma = {sigma:.3g}", f"status = {status}"]
+    return _write(args, inputs, closed, decimal, lines, value, error, sigma, status)
+
+
+def _volume(args) -> int:
     dim = SphereDim(args.D)
     # the constant 1 is the empty mu-power product
-    return _Spec({"D": args.D}, sphere_volume(dim), dim,
-                 lambda mus: _oracle().mu_power_values(mus, ()))
+    return _closed(args, {"D": args.D}, sphere_volume(dim), dim,
+                   (dim, lambda mus: _oracle().mu_power_values(mus, ()), 1.0))
 
 
-def _dirichlet(args) -> _Spec:
+def _dirichlet(args) -> int:
     alphas = _number_list(
         args.alpha, "pass --alpha, one exponent per coordinate (repeat or comma-separate)"
     )
@@ -301,50 +305,50 @@ def _dirichlet(args) -> _Spec:
     else:
         refusal = None
     lifted = tuple(a - 1 for a in alphas)
-    return _Spec(
+    return _closed(
+        args,
         {"n": args.n, "alpha": alphas, "mode": "signed" if args.signed else "abs"},
         closed,
         args.n,
         # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
-        quad_f=lambda mus: _oracle().mu_power_values(mus, lifted),
+        (SphereDim(2 * args.n + 1), lambda mus: _oracle().mu_power_values(mus, lifted),
+         math.pi ** -(args.n + 1)),
         mc_f=lambda b: _oracle().monomial_values(b.xs, alphas, absolute=not args.signed),
-        quad_dim=SphereDim(2 * args.n + 1),
-        quad_scale=math.pi ** -(args.n + 1),
         refusal=refusal,
     )
 
 
-def _mu_power(args) -> _Spec:
+def _mu_power(args) -> int:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     dim = SphereDim(args.D)
-    return _Spec({"D": args.D, "alpha": alphas}, mu_power_integral(dim, alphas), dim,
-                 lambda mus: _oracle().mu_power_values(mus, alphas))
+    return _closed(args, {"D": args.D, "alpha": alphas}, mu_power_integral(dim, alphas), dim,
+                   (dim, lambda mus: _oracle().mu_power_values(mus, alphas), 1.0))
 
 
-def _fluid(args) -> _Spec:
+def _fluid(args) -> int:
     from .fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 
     omegas = [float(w) for w in _number_list(
         args.omega, "pass --omega, one angular velocity per rotation circle")]
     params = FluidParams(args.D, omegas)
-    spec = _Spec({"D": args.D, "omega": omegas}, fluid_closed(params), params.dim,
-                 lambda mus: gamma_power_values(mus, params))
+    closed = fluid_closed(params)  # a float, so it is its own decimal
     if args.series and args.verify:
         raise _UsageError("--series and --verify are separate checks; pick one per run")
-    if args.series:
-        res = fluid_series(params, args.kmax)
-        spec.inputs.update(oracle="series", kmax=args.kmax)
-        gap = abs(res.value - spec.closed) / abs(spec.closed)
-        spec.second = (res.value, res.last_term_magnitude, gap, "ok", [
-            _headline(spec.closed, spec.decimal, args.digits),
-            f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
-            f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
-            f"relative gap = {gap:.3g}",
-        ])
-    return spec
+    inputs = {"D": args.D, "omega": omegas}
+    if not args.series:
+        return _closed(args, inputs, closed, params.dim,
+                       (params.dim, lambda mus: gamma_power_values(mus, params), 1.0))
+    res = fluid_series(params, args.kmax)
+    inputs.update(oracle="series", kmax=args.kmax)
+    gap = abs(res.value - closed) / abs(closed)
+    lines = [_fmt(closed, args.digits),
+             f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
+             f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
+             f"relative gap = {gap:.3g}"]
+    return _write(args, inputs, closed, closed, lines, res.value, res.last_term_magnitude, gap)
 
 
-def _integrate_poly(args) -> _Spec:
+def _integrate_poly(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             poly = parse_polynomial(fh.read(), args.n)
@@ -358,39 +362,31 @@ def _integrate_poly(args) -> _Spec:
         refusal = "signed polynomials are not radii-only integrands; verify with --oracle mc"
     else:
         refusal = None
-    return _Spec(
-        {"n": args.n, "file": args.file, "terms": len(poly)},
-        poly_integrate(args.n, poly),
-        args.n,
-        mc_f=lambda b: _oracle().polynomial_values(b.xs, poly),
-        refusal=refusal,
-    )
+    return _closed(args, {"n": args.n, "file": args.file, "terms": len(poly)},
+                   poly_integrate(args.n, poly), args.n,
+                   mc_f=lambda b: _oracle().polynomial_values(b.xs, poly), refusal=refusal)
 
 
-def _reduce(args) -> _Spec:
+def _reduce(args) -> int:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     dim = SphereDim(args.D)
     direct = mu_power_integral(dim, alphas)
     reduced = reduction_rhs(dim, alphas)
-    spec = _Spec({"D": args.D, "alpha": alphas, "oracle": "reduction"}, direct, dim)
-    reduced_decimal = _decimal_of(reduced)
+    decimal, reduced_decimal = _decimal_of(direct), _decimal_of(reduced)
     if isinstance(direct, PiRational):
         agree = direct == reduced
         sig = 0.0 if agree else math.inf
         note = "exact" if agree else "MISMATCH"
     else:
-        gap = abs(spec.decimal - reduced_decimal) / max(abs(spec.decimal), 1e-300)
-        agree = gap <= 1e-10
-        sig = gap
-        note = f"relative gap {gap:.3g}"
+        sig = abs(decimal - reduced_decimal) / max(abs(decimal), 1e-300)
+        agree = sig <= 1e-10
+        note = f"relative gap {sig:.3g}"
     status = "ok" if agree else "disagree"
-    spec.second = (reduced_decimal, 0.0, sig, status, [
-        f"direct:  {_headline(direct, spec.decimal, args.digits)}",
-        f"reduced: {_headline(reduced, reduced_decimal, args.digits)}",
-        f"agreement: {note}",
-        f"status = {status}",
-    ])
-    return spec
+    lines = [f"direct:  {_headline(direct, decimal, args.digits)}",
+             f"reduced: {_headline(reduced, reduced_decimal, args.digits)}",
+             f"agreement: {note}", f"status = {status}"]
+    return _write(args, {"D": args.D, "alpha": alphas, "oracle": "reduction"}, direct, decimal,
+                  lines, reduced_decimal, 0.0, sig, status)
 
 
 # sample streams its rows, so memory does not grow with --count; the
@@ -411,7 +407,7 @@ def _sample_blocks(dim, seed, count):
                       batch.phis[rows].tolist())
 
 
-def _cmd_sample(args, out):
+def _sample(args) -> int:
     dim = SphereDim(args.D)
     if args.count * (dim.D + 1) > _MAX_SAMPLE_VALUES:
         raise BudgetError(
@@ -419,6 +415,7 @@ def _cmd_sample(args, out):
             f"count * (D+1) may be at most {_MAX_SAMPLE_VALUES} coordinates"
         )
     blocks = _sample_blocks(dim, args.seed, args.count)
+    out = sys.stdout
     if args.json:
         import json
 
@@ -442,23 +439,22 @@ def _cmd_sample(args, out):
     return 0
 
 
-# every command but sample builds a _Spec that _run reports
-_SPECS = {
+# every subcommand is one function of the parsed args that returns the exit code
+_COMMANDS = {
     "volume": _volume,
     "dirichlet": _dirichlet,
     "mu-power": _mu_power,
     "reduce": _reduce,
     "fluid": _fluid,
     "integrate-poly": _integrate_poly,
+    "sample": _sample,
 }
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "sample":
-            return _cmd_sample(args, sys.stdout)
-        return _run(_SPECS[args.command](args), args, sys.stdout)
+        return _COMMANDS[args.command](args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
     except (_UsageError, DomainError, ValueError, TypeError, OverflowError) as e:

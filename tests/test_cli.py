@@ -29,10 +29,14 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_json(argv, capsys):
     code, out, err = run(argv + ["--json"], capsys)
     assert err == ""
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_refuse_constant)  # strict: no NaN/Infinity
 
 
 # -- human output -----------------------------------------------------------
@@ -48,6 +52,11 @@ def test_digits_flag(capsys):
     code, out, _ = run(["volume", "--D", "2", "--digits", "4"], capsys)
     assert code == 0
     assert out == "4 * pi^1 = 12.57\n"
+    # 767 digits hold a double's whole decimal expansion; format itself
+    # refuses a precision of 2^31 and up, which is a flag value, not a domain error
+    _, full, _ = run(["volume", "--D", "4", "--digits", "767"], capsys)
+    for digits in ("768", "100000", "2147483648", str(10**30)):
+        assert run(["volume", "--D", "4", "--digits", digits], capsys) == (0, full, ""), digits
 
 
 def test_dirichlet_human_exact_and_float(capsys):
@@ -73,11 +82,18 @@ def test_reduce_reports_a_mismatch(monkeypatch, capsys):
     assert code == 3
     assert "agreement: MISMATCH" in out
     assert "status = disagree" in out
+    # the exact mismatch has no finite sigma: null in strict JSON, inf in text
+    code, report = run_json(["reduce", "--D", "4", "--alpha", "2,0"], capsys)
+    assert code == 3
+    assert report["status"] == "disagree" and report["agreement_sigma"] is None
     monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda dim, alphas: 1.0)
     code, out, _ = run(["reduce", "--D", "4", "--alpha", "2.0,0"], capsys)
     assert code == 3
     assert "agreement: relative gap" in out
     assert "status = disagree" in out
+    code, report = run_json(["reduce", "--D", "4", "--alpha", "2.0,0"], capsys)
+    assert code == 3
+    assert report["status"] == "disagree" and report["agreement_sigma"] > 1e-10
 
 
 def test_fluid_human_with_series(capsys):
@@ -248,6 +264,13 @@ def test_parse_polynomial_details():
         parse_polynomial("1 -2 0 0\n", 2)
     with pytest.raises(ValueError, match="no terms"):
         parse_polynomial("# only a comment\n", 2)
+    # decimals and exponents within the bound are exact fractions
+    poly = parse_polynomial("0.5 2 0\n1e5 0 2\n-2.5E-3 1 1\n1e4300 0 0\n", 1)
+    assert poly == {(2, 0): Fraction(1, 2), (0, 2): Fraction(100000),
+                    (1, 1): Fraction(-1, 400), (0, 0): Fraction(10**4300)}
+    for text in ("1e4301", "1e-4301", "1E+1_000_000_000"):
+        with pytest.raises(ValueError, match=r"line 2: .*decimal exponent past \+-4300"):
+            parse_polynomial(f"1 0 0\n{text} 2 0\n", 1)
 
 
 # -- exit codes -------------------------------------------------------------
@@ -256,6 +279,10 @@ def test_parse_polynomial_details():
 def test_exit_usage_errors(tmp_path, capsys):
     f = tmp_path / "p.poly"
     f.write_text("1 2 0 0\n")
+    # Fraction would write 10^(+-10^9) out in full, for minutes
+    huge, tiny = tmp_path / "huge.poly", tmp_path / "tiny.poly"
+    huge.write_text("1e1000000000 2 0\n")
+    tiny.write_text("1e-1000000000 2 0\n")
     cases = [
         ["volume"],  # missing --D
         ["nonsense"],
@@ -279,6 +306,8 @@ def test_exit_usage_errors(tmp_path, capsys):
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "-1"],
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "100000000"],
         ["integrate-poly", "--n", "0", "--file", str(f)],  # 3 exponents per line for n = 0
+        ["integrate-poly", "--n", "1", "--file", str(huge)],
+        ["integrate-poly", "--n", "1", "--file", str(tiny)],
         ["sample", "--D", "2", "--seed", "-1"],
         # quadrature grids past the budget
         ["mu-power", "--D", "3", "--alpha", "2.5,0", "--verify", "--oracle", "quad",
@@ -340,6 +369,14 @@ def test_exit_oracle_disagreement(tmp_path, capsys, monkeypatch):
         code, out, err = run(argv, capsys)
         assert code == 3, argv
         assert "status = disagree" in out, argv
+    # MC on the constant integrand has a zero error, so the wrong volume is
+    # an infinite sigma: inf in text, null in strict JSON
+    code, out, _ = run(["volume", "--D", "4", "--verify"], capsys)
+    assert code == 3
+    assert out.endswith("+- 0\nagreement sigma = inf\nstatus = disagree\n")
+    code, report = run_json(["volume", "--D", "4", "--verify"], capsys)
+    assert code == 3
+    assert report["status"] == "disagree" and report["agreement_sigma"] is None
 
 
 def test_exit_poly_quad_refused(tmp_path, capsys):

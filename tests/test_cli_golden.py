@@ -49,6 +49,19 @@ def test_cli_golden(case, tmp_path, monkeypatch):
     assert _capture(case["argv"]) == expected
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN["cases"] if "--json" in c["argv"]],
+                         ids=lambda c: "_".join(c["argv"]))
+def test_golden_json_is_strict(case):
+    # every recorded --json report parses without NaN or Infinity
+    if case["stdout"]:
+        report = json.loads(case["stdout"], parse_constant=_refuse_constant)
+        assert isinstance(report, dict)
+
+
 if __name__ == "__main__":
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
