@@ -11,11 +11,12 @@ Keys are always present, null when not applicable.  Exit codes: 0 success,
 Usage errors are refused before any integration runs: a missing, unknown
 or conflicting flag, a flag value out of range (--samples, --count and
 --digits >= 1, --nodes >= 8, --seed and --kmax >= 0, --sigma finite and
-> 0), a --kmax past the series caps, a --nodes past the quadrature
-budget, a sample --count with count * (D+1) past 2^20 coordinates, an
-integer exponent or D whose exact Gamma argument is past 25000, and an
-unreadable or malformed polynomial file (a coefficient whose decimal
-exponent is past +-4300 among them).
+> 0), a --kmax past 1000, a Monte Carlo --samples with samples * (D+1)
+past 10^8 coordinates, a --nodes past the quadrature budget, a sample
+--count with count * (D+1) past 2^20 coordinates, an integer exponent
+or D whose exact Gamma argument is past 25000, and an unreadable or
+malformed polynomial file (a coefficient whose decimal exponent is past
++-4300 among them).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 from .exactpi import BudgetError, DomainError, PiRational, to_float
 from .integrals import (
     SphereDim,
+    as_dim,
     dirichlet_abs,
     dirichlet_signed,
     mu_power_integral,
@@ -249,6 +251,11 @@ def _write(args, inputs, closed, decimal, lines, oracle_value=None, oracle_error
     return 0 if status == "ok" else 3
 
 
+# the MC oracle's time grows with its samples * (D+1) coordinates; at this
+# budget the slowest accepted check runs for a few seconds
+_MAX_MC_VALUES = 10**8
+
+
 def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None) -> int:
     """Report a closed value, checked under --verify by an MC or quadrature oracle.
 
@@ -263,6 +270,12 @@ def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None) -> in
         return _write(args, inputs, closed, decimal, lines)
     if refusal:
         raise DomainError(refusal)
+    D = as_dim(dim).D
+    if args.oracle == "mc" and args.samples * (D + 1) > _MAX_MC_VALUES:
+        raise BudgetError(
+            f"--samples {args.samples} on S^{D} is past the Monte Carlo budget: "
+            f"samples * (D+1) may be at most {_MAX_MC_VALUES} coordinates"
+        )
     inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
     if quad:
         inputs["nodes"] = args.nodes

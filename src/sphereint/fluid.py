@@ -21,12 +21,11 @@ from .integrals import SphereDim, as_dim, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
 _SERIES_W2_LIMIT = 0.99
-# fluid_series work caps: truncation order K, and C(K + r, r) multi-indices
-# over r rotation circles.  C(K + r, r) >= 1 + K r, so the terms cap also
-# bounds the K r steps of the h_k recurrence, and it keeps every h_k (a sum
-# of at most C(K + r, r) monomials, each below 1) under 10^6, far from overflow.
+# fluid_series's one work cap, on the truncation order K.  V_D is computed
+# first and leaves the double range past D = 437, so r <= 219 circles and
+# the recurrence does at most 219,000 multiply-adds.  With w^2 <= 0.99,
+# h_k <= C(k + r - 1, k) 0.99^k, about 10^248 at r = 219, k = 1000: finite.
 _SERIES_MAX_ORDER = 1000
-_SERIES_MAX_TERMS = 10**6
 
 
 class FluidParams(_Frozen):
@@ -74,6 +73,7 @@ class SeriesResult(namedtuple(
         "SeriesResult", "value terms_used last_term_magnitude truncation_order")):
     """Truncated series value plus convergence bookkeeping.
 
+    terms_used counts the shells summed, truncation_order + 1.
     last_term_magnitude is the contribution of the boundary shell (total
     order k = truncation_order); partial sums are monotone non-decreasing
     in the truncation order since every term is non-negative.
@@ -93,23 +93,22 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     with h_k the complete homogeneous symmetric polynomial, built by the
     recurrence h_k += w_j^2 h_(k-1) one circle at a time.  Truncation is
     by total order: shells k = 0..truncation_order, summed in ascending k,
-    so the reduction order is deterministic.  terms_used counts the
-    multi-indices those shells cover, C(order + r, r).
+    so the reduction order is deterministic.
 
     Refuses when max w_j^2 > 0.99: convergence goes as (max w_j^2)^k, so
     the shell count needed there is enormous; use fluid_closed instead.
     Refuses up front, with BudgetError (a ValueError), a truncation order
-    above 1000 or one whose multi-index count C(order + r, r) exceeds 10^6.
+    above 1000.  Raises OverflowError past D = 437, where V_D leaves the
+    double range, before the recurrence runs.
     """
     if isinstance(truncation_order, bool) or not isinstance(truncation_order, int):
         raise TypeError("truncation_order must be an integer")
     if truncation_order < 0:
         raise ValueError("truncation_order must be >= 0")
-    K, r = truncation_order, params.dim.n_angles
-    if K > _SERIES_MAX_ORDER or math.comb(K + r, r) > _SERIES_MAX_TERMS:
+    K = truncation_order
+    if K > _SERIES_MAX_ORDER:
         raise BudgetError(
-            f"truncation_order {K} over {r} rotation circles is past the series caps: "
-            f"order <= {_SERIES_MAX_ORDER} and C(order + {r}, {r}) <= {_SERIES_MAX_TERMS} terms"
+            f"truncation_order {K} is past the series cap: order <= {_SERIES_MAX_ORDER}"
         )
     w2 = [w * w for w in params.omegas]
     if max(w2) > _SERIES_W2_LIMIT:
@@ -118,17 +117,17 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "impractically many shells this close to divergence; evaluate "
             "fluid_closed instead"
         )
+    volume = to_float(sphere_volume(params.dim))
     h = [1.0] + [0.0] * K  # h[k] = h_k of the circles folded in so far
     for x in w2:
         for k in range(1, K + 1):
             h[k] += x * h[k - 1]
-    volume = to_float(sphere_volume(params.dim))
     total = 0.0
     for hk in h:
         total += volume * hk
     return SeriesResult(
         value=total,
-        terms_used=math.comb(K + r, r),
+        terms_used=K + 1,
         last_term_magnitude=volume * h[K],
         truncation_order=K,
     )

@@ -8,9 +8,9 @@ log-Gamma float formula.
 
 Reproducibility: the random stream is numpy's PCG64 as wrapped by
 numpy.random.default_rng(seed) (numpy >= 1.24), consumed in fixed-size
-chunks of 2**17 draws whose partial sums are accumulated in order.  The
-same (seed, samples, integrand, dim) therefore reproduces the estimate
-bit-for-bit on one platform.
+chunks of 2**17 draws, or 2**21 // (D+1) past D = 15, whose partial sums
+are accumulated in order.  The same (seed, samples, integrand, dim)
+therefore reproduces the estimate bit-for-bit on one platform.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .exactpi import BudgetError, DomainError, _Frozen
 from .integrals import SphereDim, as_dim
 
 _CHUNK = 1 << 17
+# coordinates per MC chunk (16 MB of doubles): past D = 15 a chunk holds
+# fewer than _CHUNK rows, so the sampler's memory does not grow with D
+_CHUNK_VALUES = 1 << 21
 # target element count per evaluation block in the quadrature grid sweep
 _BLOCK_ELEMS = 1 << 19
 # grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2
@@ -119,9 +122,10 @@ def _iter_xs_chunks(dim: SphereDim, config: MCConfig) -> Iterator[np.ndarray]:
     # Gaussian direction trick: a standard normal vector normalized to unit
     # length is uniform on the sphere; no rejection step needed.
     rng = np.random.default_rng(config.seed)
+    rows = min(_CHUNK, max(1, _CHUNK_VALUES // (dim.D + 1)))
     remaining = config.samples
     while remaining > 0:
-        m = min(_CHUNK, remaining)
+        m = min(rows, remaining)
         g = rng.standard_normal((m, dim.D + 1))
         norms = np.sqrt(np.einsum("ij,ij->i", g, g))
         g /= norms[:, None]

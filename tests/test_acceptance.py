@@ -195,9 +195,9 @@ def test_criterion_5_fluid():
 
         # series convergence at the worst allowed speed, plus a mild case
         orders = []
-        for D in range(1, 7):
+        for D in range(1, 10):
             dim = SphereDim(D)
-            base = [0.9, -0.5, 0.3]
+            base = [0.9, -0.5, 0.3, 0.2, -0.1]
             for omegas in (base[: dim.n_angles], [0.4] * dim.n_angles):
                 params = FluidParams(dim, omegas)
                 closed = fluid_closed(params)

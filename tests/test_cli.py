@@ -318,6 +318,8 @@ def test_exit_usage_errors(tmp_path, capsys):
         # sample output past 2^20 coordinates: count * (D+1) = 2^20 + 4, and 10^9 + 1
         ["sample", "--D", "3", "--count", "262145"],
         ["sample", "--D", "1000000000", "--count", "1", "--json"],
+        # MC work past 10^8 coordinates: about 10 hours of sampling
+        ["volume", "--D", "9", "--verify", "--samples", "100000000000"],
     ]
     for argv in cases:
         start = time.perf_counter()
@@ -326,6 +328,30 @@ def test_exit_usage_errors(tmp_path, capsys):
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error:"), argv
+
+
+def test_mc_samples_budget(capsys, monkeypatch):
+    from sphereint import oracle
+
+    seen = []
+
+    def stub(dim, f, config):
+        seen.append((dim.D, config.samples))
+        return oracle.OracleEstimate(value=1.0, error=0.0, samples_or_nodes=config.samples,
+                                     method="mc")
+
+    monkeypatch.setattr(oracle, "mc_integrate", stub)
+    # at the budget, samples * (D+1) = 10^8 coordinates, the oracle runs
+    code, _, err = run(["volume", "--D", "9", "--verify", "--samples", "10000000"], capsys)
+    assert (code, err) == (3, "")  # the stub's 1.0 is not V_9
+    assert seen == [(9, 10**7)]
+    code, _, err = run(["volume", "--D", "9", "--verify", "--samples", "10000001"], capsys)
+    assert code == 1 and "Monte Carlo budget" in err
+    # quadrature ignores --samples, so it is not refused
+    code, _, err = run(["volume", "--D", "4", "--verify", "--oracle", "quad",
+                        "--samples", "100000000000"], capsys)
+    assert (code, err) == (0, "")
+    assert len(seen) == 1
 
 
 def test_exit_domain_errors(capsys):

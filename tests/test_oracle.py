@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphereint import oracle
 from sphereint.exactpi import DomainError, PiRational, to_float
 from sphereint.fluid import FluidParams, fluid_closed, gamma_power_values
 from sphereint.integrals import SphereDim, mu_power_float, poly_integrate, sphere_volume
@@ -280,6 +281,28 @@ def test_quad_integrand_gets_a_row_major_grid():
         assert seen and all(contiguous for contiguous, _ in seen)
         assert max(rows for _, rows in seen) <= _TILE_ELEMS
         assert sum(rows for _, rows in seen) == est.samples_or_nodes
+
+
+def test_mc_memory_does_not_grow_with_D():
+    # a chunk holds at most 2^21 coordinates (16.8 MB): 10,433 rows at
+    # D = 200, where 2^17 rows would be 210 MB.  Two chunks are live while
+    # the next one is drawn; the 40,000 rows in one piece would be 64 MB
+    tracemalloc.start()
+    try:
+        mc_integrate(200, lambda b: b.xs[:, 0] ** 2, MCConfig(seed=3, samples=40_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40_000_000
+
+
+def test_sample_batch_is_chunk_independent(monkeypatch):
+    # the normal stream is row-major, so where the chunks split it moves no point
+    dim, config = SphereDim(40), MCConfig(seed=5, samples=200)
+    whole = sample_batch(dim, config).xs  # one chunk: 200 rows < 2^21 // 41
+    for values in (41, 41 * 7, 41 * 64 + 3):  # 1, 7 and 64 rows per chunk
+        monkeypatch.setattr(oracle, "_CHUNK_VALUES", values)
+        assert sample_batch(dim, config).xs.tobytes() == whole.tobytes()
 
 
 def test_quad_grid_memory_stays_bounded():
