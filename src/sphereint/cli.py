@@ -12,11 +12,11 @@ Usage errors are refused before any integration runs: a missing, unknown
 or conflicting flag, a flag value out of range (--samples, --count and
 --digits >= 1, --nodes >= 8, --seed and --kmax >= 0, --sigma finite and
 > 0), a --kmax past 1000, a Monte Carlo --samples with samples * (D+1)
-past 10^8 coordinates, a --nodes past the quadrature budget, a sample
---count with count * (D+1) past 2^20 coordinates, an integer exponent
-or D whose exact Gamma argument is past 25000, and an unreadable or
-malformed polynomial file (a coefficient whose decimal exponent is past
-+-4300 among them).
+past 10^8 coordinates (samples * (n+1) * terms for integrate-poly), a
+--nodes past the quadrature budget, a sample --count with count * (D+1)
+past 2^20 coordinates, an integer exponent or D whose exact Gamma
+argument is past 25000, and an unreadable or malformed polynomial file
+(a coefficient whose decimal exponent is past +-4300 among them).
 """
 
 from __future__ import annotations
@@ -207,9 +207,12 @@ def _fmt(value: float, digits: int) -> str:
 
 
 def _sigma_of(diff: float, se: float, scale: float) -> float:
-    if se > 0.0:
+    # an error at rounding level (a constant integrand) measures no spread:
+    # dividing a rounding gap by it would read as a disagreement
+    tol = 1e-12 * abs(scale)
+    if se > tol:
         return diff / se
-    return 0.0 if diff <= 1e-12 * abs(scale) else math.inf
+    return 0.0 if diff <= tol else math.inf
 
 
 def _report(operation, inputs, closed=None, decimal=None, oracle_value=None,
@@ -251,18 +254,20 @@ def _write(args, inputs, closed, decimal, lines, oracle_value=None, oracle_error
     return 0 if status == "ok" else 3
 
 
-# the MC oracle's time grows with its samples * (D+1) coordinates; at this
-# budget the slowest accepted check runs for a few seconds
+# the MC oracle's time grows with its samples * (D+1) coordinates, times the
+# term count of a polynomial integrand, which makes one pass per term; at
+# this budget the slowest accepted check runs for a few seconds
 _MAX_MC_VALUES = 10**8
 
 
-def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None) -> int:
+def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None, terms=None) -> int:
     """Report a closed value, checked under --verify by an MC or quadrature oracle.
 
     quad is (sphere, f, scale): quadrature integrates f over the polar radii
     of that sphere, times scale; a command without it refuses --oracle quad.
     mc_f maps a PointBatch on S^dim and defaults to quad's f on its radii.
-    refusal says why --verify cannot run.
+    refusal says why --verify cannot run.  terms is a polynomial's term
+    count, which the Monte Carlo budget multiplies in.
     """
     decimal = _decimal_of(closed)
     lines = [_headline(closed, decimal, args.digits)]
@@ -271,10 +276,11 @@ def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None) -> in
     if refusal:
         raise DomainError(refusal)
     D = as_dim(dim).D
-    if args.oracle == "mc" and args.samples * (D + 1) > _MAX_MC_VALUES:
+    if args.oracle == "mc" and args.samples * (D + 1) * (terms or 1) > _MAX_MC_VALUES:
+        work = "samples * (D+1)" if terms is None else f"samples * (D+1) * {terms} terms"
         raise BudgetError(
             f"--samples {args.samples} on S^{D} is past the Monte Carlo budget: "
-            f"samples * (D+1) may be at most {_MAX_MC_VALUES} coordinates"
+            f"{work} may be at most {_MAX_MC_VALUES} coordinates"
         )
     inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
     if quad:
@@ -377,7 +383,8 @@ def _integrate_poly(args) -> int:
         refusal = None
     return _closed(args, {"n": args.n, "file": args.file, "terms": len(poly)},
                    poly_integrate(args.n, poly), args.n,
-                   mc_f=lambda b: _oracle().polynomial_values(b.xs, poly), refusal=refusal)
+                   mc_f=lambda b: _oracle().polynomial_values(b.xs, poly), refusal=refusal,
+                   terms=len(poly))
 
 
 def _reduce(args) -> int:

@@ -10,7 +10,10 @@ Reproducibility: the random stream is numpy's PCG64 as wrapped by
 numpy.random.default_rng(seed) (numpy >= 1.24), consumed in fixed-size
 chunks of 2**17 draws, or 2**21 // (D+1) past D = 15, whose partial sums
 are accumulated in order.  The same (seed, samples, integrand, dim)
-therefore reproduces the estimate bit-for-bit on one platform.
+therefore reproduces the estimate bit-for-bit on one platform.  The
+quadrature sums each theta_1 row of its grid with numpy's pairwise sum and
+adds the row sums in theta_1 order, an order fixed by the grid alone,
+independent of the tile size and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ _CHUNK = 1 << 17
 # coordinates per MC chunk (16 MB of doubles): past D = 15 a chunk holds
 # fewer than _CHUNK rows, so the sampler's memory does not grow with D
 _CHUNK_VALUES = 1 << 21
-# target element count per evaluation block in the quadrature grid sweep
-_BLOCK_ELEMS = 1 << 19
 # grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2
 _TILE_ELEMS = 1 << 14
 _MIN_QUAD_NODES = 8  # below it, |I(2N) - I(N)| can miss the error of I(2N)
@@ -274,37 +275,35 @@ def _quad_tensor(dim: SphereDim, f, npoints: int) -> float:
     template = np.zeros((inner_size, n + 1))
     prefix = w_inner = np.ones(1)
     for j, (cos, sin, w) in enumerate(inner_axes):
-        column = np.multiply.outer(prefix, cos).ravel()
-        template[:, columns[j + 1]] = np.repeat(column, inner_size // column.size)
+        reps = inner_size // (prefix.size * npoints)
+        template[:, columns[j + 1]] = np.repeat(np.multiply.outer(prefix, cos).ravel(), reps)
         prefix = np.multiply.outer(prefix, sin).ravel()
         w_inner = np.multiply.outer(w_inner, w).ravel()
     template[:, columns[n]] = prefix
+    del prefix  # of the build, the sweep keeps only the template and w_inner
 
-    block = min(npoints, max(1, _BLOCK_ELEMS // inner_size))
     # a tile is whole theta_1 rows of the template, or a slice of one row
     tile_rows = min(npoints, max(1, _TILE_ELEMS // inner_size))
     tile_span = min(inner_size, _TILE_ELEMS)
     tbuf = np.empty((tile_rows * tile_span, n + 1))
-    vbuf = np.empty(block * inner_size)
-    wbuf = np.empty(block * inner_size)
-    total = 0.0
-    for start in range(0, npoints, block):
-        stop = min(npoints, start + block)
-        size = (stop - start) * inner_size
-        for i in range(start, stop, tile_rows):
-            i_stop = min(stop, i + tile_rows)
-            for a in range(0, inner_size, tile_span):
-                a_stop = min(inner_size, a + tile_span)
-                m = (i_stop - i) * (a_stop - a)
-                mus = tbuf[:m]
-                tile = mus.reshape(i_stop - i, a_stop - a, n + 1)
-                np.multiply(sin0[i:i_stop, None, None], template[a:a_stop], out=tile)
-                np.copyto(tile[..., columns[0]], cos0[i:i_stop, None])
-                offset = (i - start) * inner_size + a
-                vbuf[offset : offset + m] = _values(f, mus, mus)
-        weights = wbuf[:size]
-        np.multiply(w0[start:stop, None], w_inner, out=weights.reshape(-1, inner_size))
-        total += float(np.dot(vbuf[:size], weights))
+    vbuf = np.empty((tile_rows, inner_size))  # weighted values of the tile's theta_1 rows
+    row_sums = np.empty(npoints)
+    for i in range(0, npoints, tile_rows):
+        i_stop = min(npoints, i + tile_rows)
+        rows = vbuf[: i_stop - i]
+        for a in range(0, inner_size, tile_span):
+            a_stop = min(inner_size, a + tile_span)
+            mus = tbuf[: (i_stop - i) * (a_stop - a)]
+            tile = mus.reshape(i_stop - i, a_stop - a, n + 1)
+            np.multiply(sin0[i:i_stop, None, None], template[a:a_stop], out=tile)
+            np.copyto(tile[..., columns[0]], cos0[i:i_stop, None])
+            vals = _values(f, mus, mus).reshape(i_stop - i, a_stop - a)
+            np.multiply(vals, w_inner[a:a_stop], out=rows[:, a:a_stop])
+        # numpy's pairwise sum, not a BLAS dot: a row's sum depends on its
+        # values alone, whatever the tile size or the BLAS thread count
+        np.add.reduce(rows, axis=1, out=row_sums[i:i_stop])
+    # the row sums in theta_1 order: accumulate adds strictly left to right
+    total = float(np.add.accumulate(w0 * row_sums)[-1])
     return (2.0 * math.pi) ** dim.n_angles * total
 
 
@@ -322,7 +321,9 @@ def quad_integrate(
     leaving an n-dimensional tensor-product Gauss-Legendre grid; the cap
     D <= 9 keeps that grid at most four axes.  The estimate is the refined
     pass I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
-    converged result never reports a zero bound.
+    converged result never reports a zero bound.  Each pass sums its grid
+    row by row in numpy, in an order set by the grid alone, so the bits do
+    not depend on the tile size or the BLAS thread count.
 
     Refuses nodes_per_axis < 8, below which that bound can miss the error
     of I(2N), and up front, with BudgetError (a ValueError), a refined grid

@@ -330,13 +330,14 @@ def test_exit_usage_errors(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
-def test_mc_samples_budget(capsys, monkeypatch):
+def test_mc_samples_budget(tmp_path, capsys, monkeypatch):
     from sphereint import oracle
+    from sphereint.integrals import as_dim
 
     seen = []
 
     def stub(dim, f, config):
-        seen.append((dim.D, config.samples))
+        seen.append((as_dim(dim).D, config.samples))
         return oracle.OracleEstimate(value=1.0, error=0.0, samples_or_nodes=config.samples,
                                      method="mc")
 
@@ -347,11 +348,23 @@ def test_mc_samples_budget(capsys, monkeypatch):
     assert seen == [(9, 10**7)]
     code, _, err = run(["volume", "--D", "9", "--verify", "--samples", "10000001"], capsys)
     assert code == 1 and "Monte Carlo budget" in err
+    # polynomial_values makes one pass per term: 5 terms on S^3 reach the
+    # budget at samples * 4 * 5 = 10^8
+    f = tmp_path / "p.poly"
+    f.write_text("1 2 0 0 0\n1 0 2 0 0\n1 0 0 2 0\n1 0 0 0 2\n-1 0 0 0 0\n")
+    poly = ["integrate-poly", "--n", "3", "--file", str(f), "--verify", "--samples"]
+    code, _, err = run([*poly, "5000000"], capsys)
+    assert (code, err) == (3, "")
+    assert seen[-1] == (3, 5_000_000)
+    code, _, err = run([*poly, "5000001"], capsys)
+    assert code == 1
+    assert err == ("error: --samples 5000001 on S^3 is past the Monte Carlo budget: "
+                   "samples * (D+1) * 5 terms may be at most 100000000 coordinates\n")
     # quadrature ignores --samples, so it is not refused
     code, _, err = run(["volume", "--D", "4", "--verify", "--oracle", "quad",
                         "--samples", "100000000000"], capsys)
     assert (code, err) == (0, "")
-    assert len(seen) == 1
+    assert len(seen) == 2
 
 
 def test_exit_domain_errors(capsys):
@@ -463,6 +476,11 @@ def test_verify_mc_paths(capsys):
         capsys,
     )
     assert code == 0 and report["status"] == "ok"
+    # at odd D with equal w the Lorentz factor is constant on the sphere, so
+    # the MC error is rounding noise, not a spread to divide a rounding gap by
+    code, out, err = run(["fluid", "--D", "3", "--omega", "0.5,0.5", "--verify"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("+- 2.85e-17\nagreement sigma = 0\nstatus = ok\n")
 
 
 # -- imports ----------------------------------------------------------------

@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -247,15 +252,17 @@ def test_quad_cross_checks_mc():
     "kind,D,params,nodes,value,error",
     [
         # the grid's last bits, pinned: a column-major grid flips both fluid cases
-        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63ddp+5", "0x1.0c96bc3eb3f3ep-18"),
-        ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036bc8p+5", "0x1.766c2bd7c657cp-17"),
+        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63ddp+5", "0x1.0c96bc36b3f3ep-18"),
+        ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036bcfp+5", "0x1.766c2bbfc657cp-17"),
         # even D: the sign-carrying chain position is the last mu column
-        ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f337p-1", "0x1.9feaeca4597d3p-2"),
+        ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f336p-1", "0x1.9feaeca4597cfp-2"),
         # refined inner grids past one tile: 32^3 rows in two even cuts, and
         # 34^3 rows in three uneven ones
-        ("mu", 9, (2, 0, 1, 1, 0), 16, "0x1.55d3c7e3cc00ap-1", "0x1.b10894e441654p-15"),
-        ("fluid", 8, (0.3, 0.2, 0.4, 0.1), 17, "0x1.46e7f776d3480p+5", "0x1.1e49aea6a5c66p-5"),
+        ("mu", 9, (2, 0, 1, 1, 0), 16, "0x1.55d3c7e3cc022p-1", "0x1.b10894e3f1654p-15"),
+        ("fluid", 8, (0.3, 0.2, 0.4, 0.1), 17, "0x1.46e7f776d3490p+5", "0x1.1e49aea6a2466p-5"),
     ],
+    # ids without the pinned bits, so a deliberate re-capture keeps the names
+    ids=["fluid-D5-N17", "fluid-D7-N17", "mu-D8-N8", "mu-D9-N16", "fluid-D8-N17"],
 )
 def test_quad_frozen_bits(kind, D, params, nodes, value, error):
     if kind == "fluid":
@@ -265,6 +272,69 @@ def test_quad_frozen_bits(kind, D, params, nodes, value, error):
         f = lambda mus: mu_power_values(mus, params)
     est = quad_integrate(D, f, nodes_per_axis=nodes)
     assert (est.value.hex(), est.error.hex()) == (value, error)
+
+
+_FROZEN_CHILD = """
+from sphereint.fluid import FluidParams, gamma_power_values
+from sphereint.oracle import mu_power_values, quad_integrate
+fluid = FluidParams(8, (0.3, 0.2, 0.4, 0.1))
+for D, f, nodes in ((9, lambda mus: mu_power_values(mus, (2, 0, 1, 1, 0)), 16),
+                    (8, lambda mus: gamma_power_values(mus, fluid), 17)):
+    est = quad_integrate(D, f, nodes_per_axis=nodes)
+    print(est.value.hex(), est.error.hex())
+"""
+
+
+def test_quad_bits_do_not_depend_on_the_blas_threads():
+    # the two frozen cases past one tile, each in a fresh process with one
+    # and with two BLAS threads: a threaded dot would sum in another order
+    src = str(pathlib.Path(oracle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, "-c", _FROZEN_CHILD], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 4
+
+
+def test_quad_bits_do_not_depend_on_the_tile_size(monkeypatch):
+    # D = 9, N = 16 has 16^3 and 32^3 nodes per theta_1 row: tiles of 2^8
+    # cut every row, 2^14 holds four coarse rows or half a refined one, and
+    # 2^20 holds every row of either pass
+    f = lambda mus: mu_power_values(mus, (2, 0, 1, 1, 0))
+    bits = set()
+    for tile in (1 << 8, _TILE_ELEMS, 1 << 20):
+        monkeypatch.setattr(oracle, "_TILE_ELEMS", tile)
+        est = quad_integrate(9, f, nodes_per_axis=16)
+        bits.add((est.value.hex(), est.error.hex()))
+    assert bits == {("0x1.55d3c7e3cc022p-1", "0x1.b10894e3f1654p-15")}
+
+
+def test_quad_pass_matches_a_reference_loop():
+    # one pass summed term by term with math.fsum, each node's radii and
+    # weight built from the same axis table; the row sums and their theta_1
+    # sum round differently, by a few ulps on these 512 positive terms
+    alphas = (2, 0.5, 1, 0)
+    f = lambda mus: mu_power_values(mus, alphas)
+    for D in (6, 7):
+        dim = SphereDim(D)
+        n, axes = dim.n, _axis_data(dim, 8)
+        columns = list(range(n + 1)) if dim.eps == 1 else [n] + list(range(n))
+        terms = []
+        for nodes in itertools.product(range(8), repeat=n):
+            mus, carry, weight = np.empty((1, n + 1)), 1.0, 1.0
+            for c, (k, (cos, sin, w)) in enumerate(zip(nodes, axes)):
+                mus[0, columns[c]] = carry * cos[k]
+                carry, weight = carry * sin[k], weight * w[k]
+            mus[0, columns[n]] = carry
+            terms.append(weight * f(mus)[0])
+        expected = (2.0 * math.pi) ** dim.n_angles * math.fsum(terms)
+        assert oracle._quad_tensor(dim, f, 8) == pytest.approx(expected, rel=64 * 2.0**-52, abs=0)
 
 
 def test_quad_integrand_gets_a_row_major_grid():
@@ -307,7 +377,9 @@ def test_sample_batch_is_chunk_independent(monkeypatch):
 
 def test_quad_grid_memory_stays_bounded():
     # the D = 9, N = 32 refined grid holds 2^24 nodes; it is built tile by
-    # tile, never as one 2^19-row block of five columns
+    # tile, never whole.  What stays is the (64^3, 5) inner template (10.5
+    # MB), the inner weights and one theta_1 row of weighted values (2.1 MB
+    # each), and a 640 KB tile
     alphas = (2, 0, 1, 1, 0)
     tracemalloc.start()
     try:
@@ -315,7 +387,7 @@ def test_quad_grid_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32_000_000
+    assert peak <= 20_000_000
 
 
 def test_quad_nodes_stay_on_their_axis():
