@@ -17,6 +17,9 @@ past 10^8 coordinates (samples * (n+1) * terms for integrate-poly), a
 past 2^20 coordinates, an integer exponent or D whose exact Gamma
 argument is past 25000, and an unreadable or malformed polynomial file
 (a coefficient whose decimal exponent is past +-4300 among them).
+--verify is a domain error (exit 2) on the n = 0 sphere, and --oracle quad
+is one for integrate-poly and odd signed dirichlet exponents, whose
+integrands are not radii-only.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from fractions import Fraction
 from .exactpi import BudgetError, DomainError, PiRational, to_float
 from .integrals import (
     SphereDim,
-    as_dim,
     dirichlet_abs,
     dirichlet_signed,
     mu_power_integral,
@@ -106,11 +108,26 @@ def _number_list(raw, missing: str):
 def build_parser() -> _Parser:
     parser = _Parser(prog="sphereint", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    # output flags for every command; oracle flags for the five that check a
+    # closed value (reduce checks itself, sample has no closed value)
+    out = _Parser(add_help=False)
+    out.add_argument("--json", action="store_true", help="emit one JSON report object")
+    out.add_argument("--digits", type=_bounded(int, 1), default=12,
+                     help="significant digits in text output")
+    check = _Parser(add_help=False, parents=[out])
+    check.add_argument("--verify", action="store_true", help="run a brute-force oracle and compare")
+    check.add_argument("--oracle", choices=("mc", "quad"), default="mc")
+    check.add_argument("--seed", type=_bounded(int, 0), default=0)
+    check.add_argument("--samples", type=_bounded(int, 1), default=100_000)
+    check.add_argument("--nodes", type=_bounded(int, 8), default=32,
+                       help="quadrature nodes per axis")
+    check.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
+                       help="MC disagreement threshold")
 
-    p = subs.add_parser("volume", help="total volume of S^D")
+    p = subs.add_parser("volume", parents=[check], help="total volume of S^D")
     p.add_argument("--D", type=int, required=True)
 
-    p = subs.add_parser("dirichlet", help="monomial integral over S^n")
+    p = subs.add_parser("dirichlet", parents=[check], help="monomial integral over S^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", action="append", metavar="A[,A...]",
                    help="one exponent per coordinate; repeat or comma-separate")
@@ -119,44 +136,31 @@ def build_parser() -> _Parser:
     g.add_argument("--abs", dest="absolute", action="store_true",
                    help="integrate prod |x_j|^a_j")
 
-    p = subs.add_parser("mu-power", help="polar-radius power integral over S^D")
+    p = subs.add_parser("mu-power", parents=[check], help="polar-radius power integral over S^D")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--alpha", action="append", metavar="A[,A...]")
 
-    p = subs.add_parser("reduce", help="check the sphere-within-a-sphere reduction")
+    p = subs.add_parser("reduce", parents=[out], help="check the sphere-within-a-sphere reduction")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--alpha", action="append", metavar="A[,A...]")
 
-    p = subs.add_parser("fluid", help="integral of the Lorentz factor power gamma^(D+1)")
+    p = subs.add_parser("fluid", parents=[check],
+                        help="integral of the Lorentz factor power gamma^(D+1)")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--omega", action="append", metavar="W[,W...]",
                    help="one angular velocity per rotation circle")
     p.add_argument("--series", action="store_true", help="also evaluate the truncated series")
     p.add_argument("--kmax", type=_bounded(int, 0), default=30, help="series truncation order")
 
-    p = subs.add_parser("integrate-poly", help="integrate a polynomial file over S^n")
+    p = subs.add_parser("integrate-poly", parents=[check],
+                        help="integrate a polynomial file over S^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--file", required=True, help="one monomial per line: coeff e1 ... e_(n+1)")
 
-    p = subs.add_parser("sample", help="dump uniform samples on S^D")
+    p = subs.add_parser("sample", parents=[out], help="dump uniform samples on S^D")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--count", type=_bounded(int, 1), default=10)
-
-    for name, p in subs.choices.items():
-        p.add_argument("--json", action="store_true", help="emit one JSON report object")
-        p.add_argument("--digits", type=_bounded(int, 1), default=12,
-                       help="significant digits in text output")
-        if name in ("reduce", "sample"):  # reduce checks itself; sample has no closed value
-            continue
-        p.add_argument("--verify", action="store_true", help="run a brute-force oracle and compare")
-        p.add_argument("--oracle", choices=("mc", "quad"), default="mc")
-        p.add_argument("--seed", type=_bounded(int, 0), default=0)
-        p.add_argument("--samples", type=_bounded(int, 1), default=100_000)
-        p.add_argument("--nodes", type=_bounded(int, 8), default=32,
-                       help="quadrature nodes per axis")
-        p.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
-                       help="MC disagreement threshold")
     return parser
 
 
@@ -230,14 +234,12 @@ def _report(operation, inputs, closed=None, decimal=None, oracle_value=None,
     }
 
 
-def _decimal_of(value) -> float:
-    return to_float(value) if isinstance(value, PiRational) else float(value)
-
-
-def _headline(value, decimal: float, digits: int) -> str:
+def _shown(value, digits: int) -> tuple:
+    """A closed value's decimal and its headline, "exact = decimal" or the decimal alone."""
     if isinstance(value, PiRational):
-        return f"{value} = {_fmt(decimal, digits)}"
-    return _fmt(decimal, digits)
+        decimal = to_float(value)
+        return decimal, f"{value} = {_fmt(decimal, digits)}"
+    return float(value), _fmt(float(value), digits)
 
 
 def _write(args, inputs, closed, decimal, lines, oracle_value=None, oracle_error=None,
@@ -260,22 +262,25 @@ def _write(args, inputs, closed, decimal, lines, oracle_value=None, oracle_error
 _MAX_MC_VALUES = 10**8
 
 
-def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None, terms=None) -> int:
-    """Report a closed value, checked under --verify by an MC or quadrature oracle.
+def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
+    """Report a closed value on S^D, checked under --verify by an MC or quadrature oracle.
 
-    quad is (sphere, f, scale): quadrature integrates f over the polar radii
-    of that sphere, times scale; a command without it refuses --oracle quad.
-    mc_f maps a PointBatch on S^dim and defaults to quad's f on its radii.
-    refusal says why --verify cannot run.  terms is a polynomial's term
+    --verify refuses D < 1 (the n = 0 sphere is two points) and refuses
+    --oracle quad when no quad is given, so quadrature runs only with one.
+    quad is (sphere, f, scale): quadrature integrates f over the polar
+    radii of S^sphere, times scale.  mc_f maps a PointBatch on S^D and
+    defaults to quad's f on its radii.  terms is a polynomial's term
     count, which the Monte Carlo budget multiplies in.
     """
-    decimal = _decimal_of(closed)
-    lines = [_headline(closed, decimal, args.digits)]
+    decimal, headline = _shown(closed, args.digits)
+    lines = [headline]
     if not args.verify:
         return _write(args, inputs, closed, decimal, lines)
-    if refusal:
-        raise DomainError(refusal)
-    D = as_dim(dim).D
+    if D < 1:
+        raise DomainError("oracle verification needs n >= 1; the n = 0 sphere is two points")
+    if args.oracle == "quad" and not quad:
+        raise DomainError(f"{args.command} integrands are not radii-only, so quadrature "
+                          "cannot check them; verify with --oracle mc")
     if args.oracle == "mc" and args.samples * (D + 1) * (terms or 1) > _MAX_MC_VALUES:
         work = "samples * (D+1)" if terms is None else f"samples * (D+1) * {terms} terms"
         raise BudgetError(
@@ -288,7 +293,7 @@ def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None, terms
     oracle = _oracle()
     if args.oracle == "mc":
         mc_f = mc_f or (lambda b: quad[1](b.mus))
-        est = oracle.mc_integrate(dim, mc_f, oracle.MCConfig(args.seed, args.samples))
+        est = oracle.mc_integrate(D, mc_f, oracle.MCConfig(args.seed, args.samples))
         value, error = est.value, est.error
         sigma = _sigma_of(abs(decimal - value), error, decimal)
         ok = sigma <= args.sigma
@@ -305,10 +310,9 @@ def _closed(args, inputs, closed, dim, quad=None, mc_f=None, refusal=None, terms
 
 
 def _volume(args) -> int:
-    dim = SphereDim(args.D)
     # the constant 1 is the empty mu-power product
-    return _closed(args, {"D": args.D}, sphere_volume(dim), dim,
-                   (dim, lambda mus: _oracle().mu_power_values(mus, ()), 1.0))
+    return _closed(args, {"D": args.D}, sphere_volume(args.D), args.D,
+                   (args.D, lambda mus: _oracle().mu_power_values(mus, ()), 1.0))
 
 
 def _dirichlet(args) -> int:
@@ -316,13 +320,11 @@ def _dirichlet(args) -> int:
         args.alpha, "pass --alpha, one exponent per coordinate (repeat or comma-separate)"
     )
     closed = (dirichlet_signed if args.signed else dirichlet_abs)(args.n, alphas)
-    if args.n < 1:
-        refusal = "oracle verification needs n >= 1; the n = 0 sphere is two points"
-    elif args.oracle == "quad" and args.signed and any(a % 2 for a in alphas):
-        refusal = ("quadrature verifies |x| integrands only; an odd signed case is "
-                   "exactly zero, check it with --oracle mc")
-    else:
-        refusal = None
+    # n < 1 is _closed's refusal, so it wins over this one
+    if (args.verify and args.oracle == "quad" and args.signed and args.n >= 1
+            and any(a % 2 for a in alphas)):
+        raise DomainError("quadrature verifies |x| integrands only; an odd signed case is "
+                          "exactly zero, check it with --oracle mc")
     lifted = tuple(a - 1 for a in alphas)
     return _closed(
         args,
@@ -330,18 +332,16 @@ def _dirichlet(args) -> int:
         closed,
         args.n,
         # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
-        (SphereDim(2 * args.n + 1), lambda mus: _oracle().mu_power_values(mus, lifted),
+        (2 * args.n + 1, lambda mus: _oracle().mu_power_values(mus, lifted),
          math.pi ** -(args.n + 1)),
         mc_f=lambda b: _oracle().monomial_values(b.xs, alphas, absolute=not args.signed),
-        refusal=refusal,
     )
 
 
 def _mu_power(args) -> int:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
-    dim = SphereDim(args.D)
-    return _closed(args, {"D": args.D, "alpha": alphas}, mu_power_integral(dim, alphas), dim,
-                   (dim, lambda mus: _oracle().mu_power_values(mus, alphas), 1.0))
+    return _closed(args, {"D": args.D, "alpha": alphas}, mu_power_integral(args.D, alphas),
+                   args.D, (args.D, lambda mus: _oracle().mu_power_values(mus, alphas), 1.0))
 
 
 def _fluid(args) -> int:
@@ -355,8 +355,8 @@ def _fluid(args) -> int:
         raise _UsageError("--series and --verify are separate checks; pick one per run")
     inputs = {"D": args.D, "omega": omegas}
     if not args.series:
-        return _closed(args, inputs, closed, params.dim,
-                       (params.dim, lambda mus: gamma_power_values(mus, params), 1.0))
+        return _closed(args, inputs, closed, args.D,
+                       (args.D, lambda mus: gamma_power_values(mus, params), 1.0))
     res = fluid_series(params, args.kmax)
     inputs.update(oracle="series", kmax=args.kmax)
     gap = abs(res.value - closed) / abs(closed)
@@ -375,24 +375,17 @@ def _integrate_poly(args) -> int:
         raise _UsageError(f"cannot read {args.file}: {e}")
     except ValueError as e:  # a malformed file
         raise _UsageError(str(e))
-    if args.n < 1:
-        refusal = "oracle verification needs n >= 1"
-    elif args.oracle == "quad":
-        refusal = "signed polynomials are not radii-only integrands; verify with --oracle mc"
-    else:
-        refusal = None
     return _closed(args, {"n": args.n, "file": args.file, "terms": len(poly)},
                    poly_integrate(args.n, poly), args.n,
-                   mc_f=lambda b: _oracle().polynomial_values(b.xs, poly), refusal=refusal,
-                   terms=len(poly))
+                   mc_f=lambda b: _oracle().polynomial_values(b.xs, poly), terms=len(poly))
 
 
 def _reduce(args) -> int:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
-    dim = SphereDim(args.D)
-    direct = mu_power_integral(dim, alphas)
-    reduced = reduction_rhs(dim, alphas)
-    decimal, reduced_decimal = _decimal_of(direct), _decimal_of(reduced)
+    direct = mu_power_integral(args.D, alphas)
+    reduced = reduction_rhs(args.D, alphas)
+    decimal, headline = _shown(direct, args.digits)
+    reduced_decimal, reduced_headline = _shown(reduced, args.digits)
     if isinstance(direct, PiRational):
         agree = direct == reduced
         sig = 0.0 if agree else math.inf
@@ -402,8 +395,7 @@ def _reduce(args) -> int:
         agree = sig <= 1e-10
         note = f"relative gap {sig:.3g}"
     status = "ok" if agree else "disagree"
-    lines = [f"direct:  {_headline(direct, decimal, args.digits)}",
-             f"reduced: {_headline(reduced, reduced_decimal, args.digits)}",
+    lines = [f"direct:  {headline}", f"reduced: {reduced_headline}",
              f"agreement: {note}", f"status = {status}"]
     return _write(args, {"D": args.D, "alpha": alphas, "oracle": "reduction"}, direct, decimal,
                   lines, reduced_decimal, 0.0, sig, status)

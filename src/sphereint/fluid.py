@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .exactpi import BudgetError, DomainError, _Frozen, to_float
-from .integrals import SphereDim, as_dim, sphere_volume
+from .integrals import SphereDim, as_dim, mu_power_float, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
 _SERIES_W2_LIMIT = 0.99
@@ -46,7 +46,9 @@ class FluidParams(_Frozen):
                 f"{len(omegas)} angular velocities"
             )
         for w in omegas:
-            if not math.isfinite(w) or w * w >= 1.0:
+            if not math.isfinite(w):
+                raise DomainError(f"angular velocity {w} is not finite")
+            if w * w >= 1.0:
                 raise DomainError(
                     f"angular velocity {w} has w^2 >= 1; the integral diverges"
                 )
@@ -86,7 +88,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     """Binomial-series evaluation of the gamma^(D+1) integral.
 
     Expanding gamma^(D+1) = (1 - sum w_j^2 mu_j^2)^(-(D+1)/2) and
-    integrating each monomial prod mu_j^(2 k_j) with term_integral, every
+    integrating each monomial prod mu_j^(2 k_j) over S^D, every
     multi-index of total order k contributes V_D prod w_j^(2 k_j): the
     Pochhammer coefficient and the k_j! cancel against
     Gamma((D+1)/2 + k).  Shell k is therefore V_D h_k(w_1^2, ..., w_r^2),
@@ -98,8 +100,10 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     Refuses when max w_j^2 > 0.99: convergence goes as (max w_j^2)^k, so
     the shell count needed there is enormous; use fluid_closed instead.
     Refuses up front, with BudgetError (a ValueError), a truncation order
-    above 1000.  Raises OverflowError past D = 437, where V_D leaves the
-    double range, before the recurrence runs.
+    above 1000.  V_D comes from the log-Gamma float kernel, not from
+    the exact route fluid_closed takes, so a wrong V_D in either shows as
+    a gap between the two.  Raises OverflowError past D = 437, where V_D
+    leaves the double range, before the recurrence runs.
     """
     if isinstance(truncation_order, bool) or not isinstance(truncation_order, int):
         raise TypeError("truncation_order must be an integer")
@@ -117,7 +121,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "impractically many shells this close to divergence; evaluate "
             "fluid_closed instead"
         )
-    volume = to_float(sphere_volume(params.dim))
+    volume = mu_power_float(params.dim, (0,) * params.dim.n_angles)
     h = [1.0] + [0.0] * K  # h[k] = h_k of the circles folded in so far
     for x in w2:
         for k in range(1, K + 1):

@@ -157,6 +157,21 @@ def test_json_fluid_series_routes_through_oracle_fields(capsys):
     assert report["status"] == "ok"
 
 
+def test_fluid_series_does_not_share_the_closed_volume(capsys, monkeypatch):
+    # the series takes V_D from its own route, so a wrong closed-form V_D
+    # shows as a gap instead of cancelling out of it
+    from sphereint import fluid
+
+    real = fluid.sphere_volume
+    monkeypatch.setattr(fluid, "sphere_volume",
+                        lambda dim: real(dim) * Fraction(1_000_001, 1_000_000))
+    code, report = run_json(
+        ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "60"], capsys
+    )
+    assert code == 0
+    assert report["agreement_sigma"] >= 1e-7
+
+
 def test_json_sample_points(capsys):
     code, report = run_json(["sample", "--D", "2", "--seed", "3", "--count", "4"], capsys)
     assert code == 0

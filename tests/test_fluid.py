@@ -24,6 +24,9 @@ def test_params_validation():
         FluidParams(2, (1.0,))
     with pytest.raises(DomainError):
         FluidParams(2, (-1.2,))
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="is not finite"):
+            FluidParams(2, (w,))
     p = FluidParams(3, (0.3, -0.4))
     assert p.omegas == (0.3, -0.4)
 
