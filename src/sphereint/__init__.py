@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 # path never imports numpy.
 _EXPORTS = {name: module for module, names in {
     "exactpi": "BudgetError DomainError PiRational gamma_half to_float",
-    "integrals": "SphereDim dirichlet_abs dirichlet_abs_float dirichlet_signed mu_power_float "
+    "integrals": "dirichlet_abs dirichlet_abs_float dirichlet_signed mu_power_float "
                  "mu_power_integral poly_integrate reduction_rhs sphere_volume term_integral",
     "fluid": "FluidParams SeriesResult fluid_closed fluid_series gamma_power_values",
     "oracle": "IntegrandError MCConfig OracleEstimate PointBatch mc_integrate monomial_values "

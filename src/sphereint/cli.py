@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .exactpi import BudgetError, DomainError, PiRational, to_float
 from .integrals import (
-    SphereDim,
+    _check_D,
     dirichlet_abs,
     dirichlet_signed,
     mu_power_integral,
@@ -56,8 +56,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a token starting like a negative number is a value, not a flag,
-        # so comma lists such as "--alpha -1,0,2" parse
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # so comma lists such as "--alpha -1,0,2" and "--omega -inf,0.1" parse
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # argparse exits 2 on bad flags by default; 2 is reserved for domain errors
     def error(self, message):
@@ -407,12 +407,12 @@ _MAX_SAMPLE_VALUES = 1 << 20
 _SAMPLE_BLOCK = 4096  # rows formatted per write
 
 
-def _sample_blocks(dim, seed, count):
+def _sample_blocks(D, seed, count):
     """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held."""
     oracle = _oracle()
     # the private chunk stream: a public streaming API would be one more name for one caller
-    for xs in oracle._iter_xs_chunks(dim, oracle.MCConfig(seed=seed, samples=count)):
-        batch = oracle.PointBatch(dim, xs)
+    for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count)):
+        batch = oracle.PointBatch(D, xs)
         for i in range(0, len(batch), _SAMPLE_BLOCK):
             rows = slice(i, i + _SAMPLE_BLOCK)
             yield zip(batch.xs[rows].tolist(), batch.mus[rows].tolist(),
@@ -420,13 +420,13 @@ def _sample_blocks(dim, seed, count):
 
 
 def _sample(args) -> int:
-    dim = SphereDim(args.D)
-    if args.count * (dim.D + 1) > _MAX_SAMPLE_VALUES:
+    D = _check_D(args.D)
+    if args.count * (D + 1) > _MAX_SAMPLE_VALUES:
         raise BudgetError(
-            f"sample --count {args.count} on S^{dim.D} is past the output budget: "
+            f"sample --count {args.count} on S^{D} is past the output budget: "
             f"count * (D+1) may be at most {_MAX_SAMPLE_VALUES} coordinates"
         )
-    blocks = _sample_blocks(dim, args.seed, args.count)
+    blocks = _sample_blocks(D, args.seed, args.count)
     out = sys.stdout
     if args.json:
         import json
@@ -443,8 +443,8 @@ def _sample(args) -> int:
             sep = ", "
         out.write("]" + tail + "\n")
     else:
-        header = ([f"x{i+1}" for i in range(dim.D + 1)] + [f"mu{i+1}" for i in range(dim.n_mu)]
-                  + [f"phi{i+1}" for i in range(dim.n_angles)])
+        header = ([f"x{i+1}" for i in range(D + 1)] + [f"mu{i+1}" for i in range(D // 2 + 1)]
+                  + [f"phi{i+1}" for i in range((D + 1) // 2)])
         out.write(",".join(header) + "\n")
         for block in blocks:
             out.write("".join(",".join(map(repr, x + m + p)) + "\n" for x, m, p in block))

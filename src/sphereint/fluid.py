@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .exactpi import BudgetError, DomainError, _Frozen, to_float
-from .integrals import SphereDim, as_dim, mu_power_float, sphere_volume
+from .integrals import _check_D, mu_power_float, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
 _SERIES_W2_LIMIT = 0.99
@@ -29,20 +29,20 @@ _SERIES_MAX_ORDER = 1000
 
 
 class FluidParams(_Frozen):
-    """Sphere dimension plus one angular velocity per coordinate circle.
+    """Sphere dimension D plus one angular velocity per coordinate circle.
 
     Every w_j must satisfy w_j^2 < 1, otherwise the fluid would reach the
     speed of light somewhere on the sphere and the integral diverges.
     """
 
-    __slots__ = ("dim", "omegas")
+    __slots__ = ("D", "omegas")
 
-    def __init__(self, dim: SphereDim | int, omegas: Sequence[float]):
-        dim = as_dim(dim)
+    def __init__(self, D: int, omegas: Sequence[float]):
+        D = _check_D(D)
         omegas = tuple(float(w) for w in omegas)
-        if len(omegas) != dim.n_angles:
+        if len(omegas) != (D + 1) // 2:
             raise ValueError(
-                f"D={dim.D} has {dim.n_angles} rotation circles, got "
+                f"D={D} has {(D + 1) // 2} rotation circles, got "
                 f"{len(omegas)} angular velocities"
             )
         for w in omegas:
@@ -52,7 +52,7 @@ class FluidParams(_Frozen):
                 raise DomainError(
                     f"angular velocity {w} has w^2 >= 1; the integral diverges"
                 )
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "D", D)
         object.__setattr__(self, "omegas", omegas)
 
 
@@ -68,7 +68,7 @@ def fluid_closed(params: FluidParams) -> float:
         denom *= 1.0 - w * w
     if denom < sys.float_info.min:
         raise OverflowError("prod (1 - w^2) is below the double-precision range")
-    return to_float(sphere_volume(params.dim)) / denom
+    return to_float(sphere_volume(params.D)) / denom
 
 
 class SeriesResult(namedtuple(
@@ -121,7 +121,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "impractically many shells this close to divergence; evaluate "
             "fluid_closed instead"
         )
-    volume = mu_power_float(params.dim, (0,) * params.dim.n_angles)
+    volume = mu_power_float(params.D, (0,) * len(params.omegas))
     h = [1.0] + [0.0] * K  # h[k] = h_k of the circles folded in so far
     for x in w2:
         for k in range(1, K + 1):
@@ -139,10 +139,10 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
 
 def gamma_power_values(mus, params: FluidParams):
     """Vectorized gamma^(D+1) for the oracle integrators; mus is (M, n+1)."""
-    k = params.dim.n_angles
+    k = len(params.omegas)
     # 1 - v^2 built in the matmul result: negating the weights negates every
     # rounded product and sum exactly, so -v^2 + 1 is the bits of 1 - v^2
     out = (mus[:, :k] ** 2) @ [-w * w for w in params.omegas]
     out += 1.0
-    out **= -0.5 * (params.dim.D + 1)
+    out **= -0.5 * (params.D + 1)
     return out

@@ -35,7 +35,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .exactpi import DomainError, PiRational, _Frozen, gamma_half
+from .exactpi import DomainError, PiRational, gamma_half
 
 Number = int | float
 
@@ -43,45 +43,27 @@ Number = int | float
 _FLOAT_MAX_REL_ERR = 1e-10
 
 
-class SphereDim(_Frozen):
-    """Dimension bookkeeping for the unit sphere S^D in R^(D+1).
+def _check_D(D: int) -> int:
+    """Validate the dimension of the unit sphere S^D in R^(D+1).
 
-    D = 2n + eps with eps = D mod 2.  There are n + eps angle/radius pairs
-    and n + 1 polar radii; for even D the last radius mu_{n+1} is the lone
-    unpaired coordinate and carries a sign.
+    D = 2n + eps with n = D // 2 and eps = D % 2.  There are n + eps =
+    (D + 1) // 2 angle/radius pairs, one per coordinate circle, and n + 1
+    polar radii; for even D the last radius mu_{n+1} is the lone unpaired
+    coordinate and carries a sign.
     """
-
-    __slots__ = ("D",)
-
-    def __init__(self, D: int):
-        if isinstance(D, bool) or not isinstance(D, int):
-            raise TypeError(f"sphere dimension must be an integer, got {D!r}")
-        if D < 1:
-            raise DomainError(f"sphere dimension must be >= 1, got {D}")
-        object.__setattr__(self, "D", D)
-
-    @property
-    def n(self) -> int:
-        return self.D // 2
-
-    @property
-    def eps(self) -> int:
-        return self.D % 2
-
-    @property
-    def n_angles(self) -> int:
-        # floor((D+1)/2) rotation angles, one per coordinate pair
-        return self.n + self.eps
-
-    @property
-    def n_mu(self) -> int:
-        return self.n + 1
+    if isinstance(D, bool) or not isinstance(D, int):
+        raise TypeError(f"sphere dimension must be an integer, got {D!r}")
+    if D < 1:
+        raise DomainError(f"sphere dimension must be >= 1, got {D}")
+    return D
 
 
-def as_dim(dim: SphereDim | int) -> SphereDim:
-    if isinstance(dim, SphereDim):
-        return dim
-    return SphereDim(dim)
+def _check_n(n: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"sphere index n must be an integer, got {n!r}")
+    if n < 0:
+        raise DomainError(f"sphere index n must be >= 0, got {n}")
+    return n
 
 
 def _check_exponents(
@@ -154,18 +136,10 @@ def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> flo
     return out
 
 
-def sphere_volume(dim: SphereDim | int) -> PiRational:
+def sphere_volume(D: int) -> PiRational:
     """Total volume of S^D: 2 pi^((D+1)/2) / Gamma((D+1)/2), exactly."""
-    dim = as_dim(dim)
-    return _gamma_quotient(dim.D + 1, 0, (), dim.D + 1)
-
-
-def _check_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"sphere index n must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"sphere index n must be >= 0, got {n}")
-    return n
+    D = _check_D(D)
+    return _gamma_quotient(D + 1, 0, (), D + 1)
 
 
 def dirichlet_signed(n: int, alphas: Sequence[int]) -> PiRational:
@@ -228,31 +202,31 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     return _lgamma_quotient(0, 1, alphas, n + 1)
 
 
-def mu_power_integral(dim: SphereDim | int, alphas: Sequence[Number]) -> PiRational | float:
+def mu_power_integral(D: int, alphas: Sequence[Number]) -> PiRational | float:
     """Integral over S^D of prod mu_j^(a_j), one exponent per polar radius pair.
 
     Value: 2 pi^((D+1)/2) prod Gamma(1 + a_j/2) / Gamma((D+1)/2 + sum a_j / 2)
     for a_j >= -1 (the Jacobian factor mu_j keeps a_j = -1 integrable).
     Exact PiRational when every exponent is an int; floating otherwise.
     """
-    dim = as_dim(dim)
-    alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
+    D = _check_D(D)
+    alphas = _check_exponents(alphas, (D + 1) // 2, -1, "mu_power_integral")
     kernel = _gamma_quotient if _all_int(alphas) else _lgamma_quotient
-    return kernel(dim.D + 1, 2, alphas, dim.D + 1)
+    return kernel(D + 1, 2, alphas, D + 1)
 
 
-def mu_power_float(dim: SphereDim | int, alphas: Sequence[Number]) -> float:
+def mu_power_float(D: int, alphas: Sequence[Number]) -> float:
     """Floating-point path for mu_power_integral, via log-Gamma only.
 
     Raises DomainError for exponents so large that the log-Gamma terms
     cancel past a 1e-10 relative error.
     """
-    dim = as_dim(dim)
-    alphas = _check_exponents(alphas, dim.n_angles, -1, "mu_power_integral")
-    return _lgamma_quotient(dim.D + 1, 2, alphas, dim.D + 1)
+    D = _check_D(D)
+    alphas = _check_exponents(alphas, (D + 1) // 2, -1, "mu_power_integral")
+    return _lgamma_quotient(D + 1, 2, alphas, D + 1)
 
 
-def reduction_rhs(dim: SphereDim | int, alphas: Sequence[Number]) -> PiRational | float:
+def reduction_rhs(D: int, alphas: Sequence[Number]) -> PiRational | float:
     """Right-hand side of the sphere-within-a-sphere reduction.
 
     pi^(n+eps) times the S^n integral of prod |mu_j|^(a_j + 1), the
@@ -260,35 +234,36 @@ def reduction_rhs(dim: SphereDim | int, alphas: Sequence[Number]) -> PiRational 
     so its length is n + 1.  Structurally equal to mu_power_integral for
     integer exponents; agrees through the floating path otherwise.
     """
-    dim = as_dim(dim)
-    alphas = _check_exponents(alphas, dim.n_angles, -1, "reduction_rhs")
-    pad = dim.n_mu - dim.n_angles  # 1 for even D, 0 for odd
+    D = _check_D(D)
+    circles = (D + 1) // 2
+    alphas = _check_exponents(alphas, circles, -1, "reduction_rhs")
+    pad = 1 - D % 2  # the unpaired mu_{n+1} of even D
     if _all_int(alphas):
         shifted = tuple(a + 1 for a in alphas) + (0,) * pad
-        return PiRational(1, 2 * dim.n_angles) * dirichlet_abs(dim.n, shifted)
+        return PiRational(1, 2 * circles) * dirichlet_abs(D // 2, shifted)
     shifted = tuple(float(a) + 1.0 for a in alphas) + (0.0,) * pad
-    return math.pi ** dim.n_angles * dirichlet_abs_float(dim.n, shifted)
+    return math.pi ** circles * dirichlet_abs_float(D // 2, shifted)
 
 
-def term_integral(dim: SphereDim | int, ks: Sequence[int]) -> PiRational:
+def term_integral(D: int, ks: Sequence[int]) -> PiRational:
     """Integral over S^D of prod mu_j^(2 k_j) for non-negative integers k_j.
 
     Specializing the Gamma factors to integers gives
     2 pi^((D+1)/2) prod k_j! / Gamma((D+1)/2 + k) with k = sum k_j.
     Computed from factorials directly, so structural equality with
-    mu_power_integral(dim, 2 ks) is a genuine cross-check.
+    mu_power_integral(D, 2 ks) is a genuine cross-check.
     """
-    dim = as_dim(dim)
+    D = _check_D(D)
     ks = tuple(ks)
-    if len(ks) != dim.n_angles:
+    if len(ks) != (D + 1) // 2:
         raise ValueError(
-            f"term_integral takes {dim.n_angles} orders for D={dim.D}, got {len(ks)}"
+            f"term_integral takes {(D + 1) // 2} orders for D={D}, got {len(ks)}"
         )
     for k in ks:
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError(f"term orders must be non-negative integers, got {k!r}")
-    denom = gamma_half(Fraction(dim.D + 1, 2) + sum(ks))  # first: its cap bounds every k_j!
+    denom = gamma_half(Fraction(D + 1, 2) + sum(ks))  # first: its cap bounds every k_j!
     q = Fraction(2)
     for k in ks:
         q *= math.factorial(k)
-    return PiRational(q, dim.D + 1) / denom
+    return PiRational(q, D + 1) / denom

@@ -9,7 +9,7 @@ log-Gamma float formula.
 Reproducibility: the random stream is numpy's PCG64 as wrapped by
 numpy.random.default_rng(seed) (numpy >= 1.24), consumed in fixed-size
 chunks of 2**17 draws, or 2**21 // (D+1) past D = 15, whose partial sums
-are accumulated in order.  The same (seed, samples, integrand, dim)
+are accumulated in order.  The same (seed, samples, integrand, D)
 therefore reproduces the estimate bit-for-bit on one platform.  The
 quadrature sums each theta_1 row of its grid with numpy's pairwise sum and
 adds the row sums in theta_1 order, an order fixed by the grid alone,
@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exactpi import BudgetError, DomainError, _Frozen
-from .integrals import SphereDim, as_dim
+from .integrals import _check_D
 
 _CHUNK = 1 << 17
 # coordinates per MC chunk (16 MB of doubles): past D = 15 a chunk holds
@@ -59,7 +59,7 @@ class MCConfig(_Frozen):
 
 
 class PointBatch:
-    """Vectorized sample block on S^D; rows of xs/mus/phis line up.
+    """Vectorized sample block on S^D for the int D; rows of xs/mus/phis line up.
 
     The chart is x_{2i-1} = mu_i cos(phi_i), x_{2i} = mu_i sin(phi_i) with
     phi_i in [0, 2 pi), plus for even D the sign-carrying x_{2n+1} = mu_{n+1}.
@@ -67,8 +67,8 @@ class PointBatch:
     and cached, so an integrand that reads xs alone never pays for them.
     """
 
-    def __init__(self, dim: SphereDim, xs: np.ndarray):
-        self.dim = dim
+    def __init__(self, D: int, xs: np.ndarray):
+        self.D = D
         self.xs = xs
 
     def __len__(self) -> int:
@@ -76,15 +76,15 @@ class PointBatch:
 
     @cached_property
     def mus(self) -> np.ndarray:
-        k = self.dim.n_angles
+        k = (self.D + 1) // 2
         pair_mus = np.hypot(self.xs[:, 0 : 2 * k : 2], self.xs[:, 1 : 2 * k : 2])
-        if self.dim.eps == 0:
-            return np.column_stack([pair_mus, self.xs[:, self.dim.D]])
+        if self.D % 2 == 0:
+            return np.column_stack([pair_mus, self.xs[:, self.D]])
         return pair_mus
 
     @cached_property
     def phis(self) -> np.ndarray:
-        k = self.dim.n_angles
+        k = (self.D + 1) // 2
         return np.mod(
             np.arctan2(self.xs[:, 1 : 2 * k : 2], self.xs[:, 0 : 2 * k : 2]), 2.0 * math.pi
         )
@@ -109,39 +109,39 @@ class OracleEstimate(namedtuple("OracleEstimate", "value error samples_or_nodes 
     __slots__ = ()
 
 
-def _volume_float(dim: SphereDim) -> float:
+def _volume_float(D: int) -> float:
     # log-Gamma route, independent of the exact evaluators this module checks
-    log = math.log(2.0) + 0.5 * (dim.D + 1) * math.log(math.pi)
-    log -= math.lgamma((dim.D + 1) / 2.0)
+    log = math.log(2.0) + 0.5 * (D + 1) * math.log(math.pi)
+    log -= math.lgamma((D + 1) / 2.0)
     vol = math.exp(log)
     if vol < sys.float_info.min:  # a zero normalization would zero the estimate
         raise OverflowError("value is below the double-precision range")
     return vol
 
 
-def _iter_xs_chunks(dim: SphereDim, config: MCConfig) -> Iterator[np.ndarray]:
+def _iter_xs_chunks(D: int, config: MCConfig) -> Iterator[np.ndarray]:
     # Gaussian direction trick: a standard normal vector normalized to unit
     # length is uniform on the sphere; no rejection step needed.
     rng = np.random.default_rng(config.seed)
-    rows = min(_CHUNK, max(1, _CHUNK_VALUES // (dim.D + 1)))
+    rows = min(_CHUNK, max(1, _CHUNK_VALUES // (D + 1)))
     remaining = config.samples
     while remaining > 0:
         m = min(rows, remaining)
-        g = rng.standard_normal((m, dim.D + 1))
+        g = rng.standard_normal((m, D + 1))
         norms = np.sqrt(np.einsum("ij,ij->i", g, g))
         g /= norms[:, None]
         yield g
         remaining -= m
 
 
-def sample_batch(dim: SphereDim | int, config: MCConfig) -> PointBatch:
+def sample_batch(D: int, config: MCConfig) -> PointBatch:
     """All requested samples as one PointBatch (same stream as mc_integrate)."""
-    dim = as_dim(dim)
-    return PointBatch(dim, np.concatenate(list(_iter_xs_chunks(dim, config))))
+    D = _check_D(D)
+    return PointBatch(D, np.concatenate(list(_iter_xs_chunks(D, config))))
 
 
 def mc_integrate(
-    dim: SphereDim | int,
+    D: int,
     f: Callable[[PointBatch], np.ndarray],
     config: MCConfig,
 ) -> OracleEstimate:
@@ -155,14 +155,14 @@ def mc_integrate(
     Raises OverflowError, before sampling, when V_D is below the normal
     double range.
     """
-    dim = as_dim(dim)
-    vol = _volume_float(dim)
+    D = _check_D(D)
+    vol = _volume_float(D)
     total = 0.0
     count = 0
     run_mean = 0.0
     m2 = 0.0  # sum of squared deviations from run_mean over the chunks so far
-    for xs in _iter_xs_chunks(dim, config):
-        batch = PointBatch(dim, xs)
+    for xs in _iter_xs_chunks(D, config):
+        batch = PointBatch(D, xs)
         vals = _values(f, batch, xs, count)
         chunk_sum = float(np.sum(vals))
         m = len(batch)
@@ -192,7 +192,7 @@ def _leggauss(npoints: int):
 
 
 @lru_cache(maxsize=None)
-def _axis_data(dim: SphereDim, npoints: int):
+def _axis_data(D: int, npoints: int):
     """Per-axis nodes and weights for the nested-angle chart of the mu sphere.
 
     The polar radii trace the part of S^n with mu_1..mu_{n+eps} >= 0 (the
@@ -216,10 +216,10 @@ def _axis_data(dim: SphereDim, npoints: int):
     s^(3a+2) under the substitution, regular enough for fast Gauss-Legendre
     convergence even for the a in (0, 1) that real exponents down to -1
     produce after the mu_j measure shift; integer-exponent integrands stay
-    analytic.  The table is cached per (dim, npoints), so its arrays are
+    analytic.  The table is cached per (D, npoints), so its arrays are
     read-only.
     """
-    n = dim.n
+    n = D // 2
     x, w = _leggauss(npoints)
     s = 0.5 * (x + 1.0)
     # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
@@ -228,7 +228,7 @@ def _axis_data(dim: SphereDim, npoints: int):
     w01 = 0.5 * w * (30.0 * s * s * (1.0 - s) ** 2)
     axes = []
     for i in range(1, n + 1):
-        full_range = dim.eps == 0 and i == 1
+        full_range = D % 2 == 0 and i == 1
         length = math.pi if full_range else 0.5 * math.pi
         theta = length * t
         cos = np.cos(theta)
@@ -256,18 +256,18 @@ def _values(f, arg, rows: np.ndarray, first: int | None = None) -> np.ndarray:
     return vals
 
 
-def _quad_tensor(dim: SphereDim, f, npoints: int) -> float:
-    if dim.D == 1:
+def _quad_tensor(D: int, f, npoints: int) -> float:
+    if D == 1:
         # S^1 has mu_1 = 1 identically; only the angle integral remains.
         mus = np.array([[1.0]])
         return 2.0 * math.pi * float(_values(f, mus, mus)[0])
 
-    n = dim.n
-    (cos0, sin0, w0), *inner_axes = _axis_data(dim, npoints)
+    n = D // 2
+    (cos0, sin0, w0), *inner_axes = _axis_data(D, npoints)
     inner_size = npoints ** (n - 1)
     # chain position c -> mu column: in order for odd D; for even D the
     # sign-carrying position 0 is the last column
-    columns = list(range(n + 1)) if dim.eps == 1 else [n] + list(range(n))
+    columns = list(range(n + 1)) if D % 2 == 1 else [n] + list(range(n))
     # row-major template of the inner grid: chain positions 2..n+1 in their
     # mu columns, each missing the sin(theta_1) factor, and the weight
     # product over the inner axes, each built row-major one axis at a time;
@@ -304,11 +304,11 @@ def _quad_tensor(dim: SphereDim, f, npoints: int) -> float:
         np.add.reduce(rows, axis=1, out=row_sums[i:i_stop])
     # the row sums in theta_1 order: accumulate adds strictly left to right
     total = float(np.add.accumulate(w0 * row_sums)[-1])
-    return (2.0 * math.pi) ** dim.n_angles * total
+    return (2.0 * math.pi) ** ((D + 1) // 2) * total
 
 
 def quad_integrate(
-    dim: SphereDim | int,
+    D: int,
     f: Callable[[np.ndarray], np.ndarray],
     nodes_per_axis: int = 32,
 ) -> OracleEstimate:
@@ -329,30 +329,30 @@ def quad_integrate(
     of I(2N), and up front, with BudgetError (a ValueError), a refined grid
     past the budget: 2N <= 2048 nodes per axis and (2N)^n <= 2^24 in all.
     """
-    dim = as_dim(dim)
-    if dim.D > _MAX_QUAD_D:
+    D = _check_D(D)
+    if D > _MAX_QUAD_D:
         raise DomainError(
-            f"quadrature grid supports D <= {_MAX_QUAD_D}, got D={dim.D}; "
+            f"quadrature grid supports D <= {_MAX_QUAD_D}, got D={D}; "
             "use mc_integrate for higher dimensions"
         )
     if isinstance(nodes_per_axis, bool) or not isinstance(nodes_per_axis, int):
         raise TypeError("nodes_per_axis must be an integer")
     if nodes_per_axis < _MIN_QUAD_NODES:
         raise ValueError(f"nodes_per_axis must be >= {_MIN_QUAD_NODES}")
-    refined = 2 * nodes_per_axis
-    if refined > _MAX_QUAD_AXIS_NODES or refined ** dim.n > _MAX_QUAD_GRID_NODES:
+    refined, n = 2 * nodes_per_axis, D // 2
+    if refined > _MAX_QUAD_AXIS_NODES or refined ** n > _MAX_QUAD_GRID_NODES:
         raise BudgetError(
-            f"nodes_per_axis {nodes_per_axis} on S^{dim.D} is past the quadrature budget: "
-            f"its refined grid of {refined}^{dim.n} nodes may have at most "
+            f"nodes_per_axis {nodes_per_axis} on S^{D} is past the quadrature budget: "
+            f"its refined grid of {refined}^{n} nodes may have at most "
             f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"
         )
-    coarse = _quad_tensor(dim, f, nodes_per_axis)
-    fine = _quad_tensor(dim, f, refined)
+    coarse = _quad_tensor(D, f, nodes_per_axis)
+    fine = _quad_tensor(D, f, refined)
     bound = abs(fine - coarse) + 1e-13 * abs(fine)
     return OracleEstimate(
         value=fine,
         error=bound,
-        samples_or_nodes=nodes_per_axis ** dim.n + refined ** dim.n,
+        samples_or_nodes=nodes_per_axis ** n + refined ** n,
         method="quad",
     )
 

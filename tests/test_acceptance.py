@@ -23,7 +23,6 @@ from sphereint.fluid import (
     gamma_power_values,
 )
 from sphereint.integrals import (
-    SphereDim,
     dirichlet_abs,
     dirichlet_abs_float,
     dirichlet_signed,
@@ -85,9 +84,8 @@ def _quad_dirichlet_abs(n: int, alphas, nodes: int):
     to pi^(n+1); that keeps the integrand radii-only so the deterministic
     grid applies even though the original lives on an embedding sphere.
     """
-    lift = SphereDim(2 * n + 1)
     lifted = tuple(a - 1 for a in alphas)
-    est = quad_integrate(lift, lambda mus: mu_power_values(mus, lifted), nodes)
+    est = quad_integrate(2 * n + 1, lambda mus: mu_power_values(mus, lifted), nodes)
     scale = math.pi ** -(n + 1)
     return est.value * scale, est.error * scale
 
@@ -115,11 +113,10 @@ def test_criterion_2_reduction_identity():
     with criterion(2, "reduction identity", budget=10.0):
         checked = 0
         for D in range(1, 9):
-            dim = SphereDim(D)
-            for alphas in product(range(-1, 7), repeat=dim.n_angles):
+            for alphas in product(range(-1, 7), repeat=(D + 1) // 2):
                 if sum(alphas) > 10:
                     continue
-                assert mu_power_integral(dim, alphas) == reduction_rhs(dim, alphas)
+                assert mu_power_integral(D, alphas) == reduction_rhs(D, alphas)
                 checked += 1
         assert checked > 5000  # the sweep must actually cover the grid
 
@@ -170,12 +167,11 @@ def test_criterion_4_real_exponents():
                 truth = dirichlet_abs_float(n, alphas)
                 assert abs(val - truth) <= 1e-8 * truth, (n, alphas)
         for D in range(2, 8):
-            dim = SphereDim(D)
-            for alphas in product(exponent_set, repeat=dim.n_angles):
+            for alphas in product(exponent_set, repeat=(D + 1) // 2):
                 est = quad_integrate(
-                    dim, lambda mus, a=alphas: mu_power_values(mus, a), 24
+                    D, lambda mus, a=alphas: mu_power_values(mus, a), 24
                 )
-                truth = mu_power_float(dim, alphas)
+                truth = mu_power_float(D, alphas)
                 assert abs(est.value - truth) <= 1e-8 * truth, (D, alphas)
 
 
@@ -185,21 +181,20 @@ def test_criterion_5_fluid():
         # plain volume; this is the whole factorization claim
         rng = random.Random(20260817)
         for D in range(1, 7):
-            dim = SphereDim(D)
-            vol = to_float(sphere_volume(dim))
+            vol = to_float(sphere_volume(D))
             for _ in range(100):
-                omegas = [rng.uniform(-0.995, 0.995) for _ in range(dim.n_angles)]
-                params = FluidParams(dim, omegas)
+                omegas = [rng.uniform(-0.995, 0.995) for _ in range((D + 1) // 2)]
+                params = FluidParams(D, omegas)
                 value, denom = fluid_closed(params), math.prod(1.0 - w * w for w in omegas)
                 assert abs(value * denom - vol) <= 1e-14 * vol, (D, omegas)
 
         # series convergence at the worst allowed speed, plus a mild case
         orders = []
         for D in range(1, 10):
-            dim = SphereDim(D)
+            circles = (D + 1) // 2
             base = [0.9, -0.5, 0.3, 0.2, -0.1]
-            for omegas in (base[: dim.n_angles], [0.4] * dim.n_angles):
-                params = FluidParams(dim, omegas)
+            for omegas in (base[:circles], [0.4] * circles):
+                params = FluidParams(D, omegas)
                 closed = fluid_closed(params)
                 for K in (30, 60, 90, 120):
                     res = fluid_series(params, K)
@@ -251,17 +246,15 @@ def test_criterion_7_mode_consistency():
             return abs(to_float(exact_value) - float_value) <= 1e-12 * abs(float_value)
 
         for D in range(1, 11):
-            dim = SphereDim(D)
-            assert close(sphere_volume(dim), mu_power_float(dim, (0.0,) * dim.n_angles))
+            assert close(sphere_volume(D), mu_power_float(D, (0.0,) * ((D + 1) // 2)))
         for n in range(0, 5):
             for alphas in product(range(5), repeat=n + 1):
                 floats = tuple(float(a) for a in alphas)
                 assert close(dirichlet_abs(n, alphas), dirichlet_abs_float(n, floats))
         for D in range(1, 9):
-            dim = SphereDim(D)
-            for alphas in product(range(-1, 5), repeat=dim.n_angles):
+            for alphas in product(range(-1, 5), repeat=(D + 1) // 2):
                 if sum(alphas) > 8:
                     continue
                 floats = tuple(float(a) for a in alphas)
-                assert close(mu_power_integral(dim, alphas), mu_power_float(dim, floats))
-                assert close(reduction_rhs(dim, alphas), reduction_rhs(dim, floats))
+                assert close(mu_power_integral(D, alphas), mu_power_float(D, floats))
+                assert close(reduction_rhs(D, alphas), reduction_rhs(D, floats))

@@ -77,7 +77,7 @@ def test_reduce_human(capsys):
 
 def test_reduce_reports_a_mismatch(monkeypatch, capsys):
     # a reduced value off the direct one fails the check, on either path
-    monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda dim, alphas: PiRational(1, 4))
+    monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda D, alphas: PiRational(1, 4))
     code, out, _ = run(["reduce", "--D", "4", "--alpha", "2,0"], capsys)
     assert code == 3
     assert "agreement: MISMATCH" in out
@@ -86,7 +86,7 @@ def test_reduce_reports_a_mismatch(monkeypatch, capsys):
     code, report = run_json(["reduce", "--D", "4", "--alpha", "2,0"], capsys)
     assert code == 3
     assert report["status"] == "disagree" and report["agreement_sigma"] is None
-    monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda dim, alphas: 1.0)
+    monkeypatch.setattr("sphereint.cli.reduction_rhs", lambda D, alphas: 1.0)
     code, out, _ = run(["reduce", "--D", "4", "--alpha", "2.0,0"], capsys)
     assert code == 3
     assert "agreement: relative gap" in out
@@ -164,7 +164,7 @@ def test_fluid_series_does_not_share_the_closed_volume(capsys, monkeypatch):
 
     real = fluid.sphere_volume
     monkeypatch.setattr(fluid, "sphere_volume",
-                        lambda dim: real(dim) * Fraction(1_000_001, 1_000_000))
+                        lambda D: real(D) * Fraction(1_000_001, 1_000_000))
     code, report = run_json(
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "60"], capsys
     )
@@ -229,6 +229,17 @@ def test_alpha_comma_and_repeat_are_equivalent(capsys):
         reports = [run_json(argv, capsys) for argv in argvs]
         assert reports[0][0] == 0
         assert all(r == reports[0] for r in reports)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_non_finite_negative_values_parse_with_or_without_equals(value, capsys):
+    # "-inf" starts like a flag: either spelling must reach the finiteness check
+    for head, flag in ((["fluid", "--D", "3"], "--omega"), (["mu-power", "--D", "3"], "--alpha"),
+                       (["dirichlet", "--n", "1", "--abs"], "--alpha")):
+        spaced = run([*head, flag, f"{value},0.1"], capsys)
+        joined = run([*head, f"{flag}={value},0.1"], capsys)
+        assert spaced == joined, (head, value)
+        assert spaced[0] == 2 and "is not finite" in spaced[2], (head, value)
 
 
 def test_integer_tokens_take_the_exact_path(capsys):
@@ -347,12 +358,11 @@ def test_exit_usage_errors(tmp_path, capsys):
 
 def test_mc_samples_budget(tmp_path, capsys, monkeypatch):
     from sphereint import oracle
-    from sphereint.integrals import as_dim
 
     seen = []
 
-    def stub(dim, f, config):
-        seen.append((as_dim(dim).D, config.samples))
+    def stub(D, f, config):
+        seen.append((D, config.samples))
         return oracle.OracleEstimate(value=1.0, error=0.0, samples_or_nodes=config.samples,
                                      method="mc")
 
@@ -411,7 +421,7 @@ def test_exit_oracle_disagreement(tmp_path, capsys, monkeypatch):
     f.write_text("1/2 2 2 0\n3 0 0 0\n")
     tight = ["--verify", "--sigma", "0.01"]
     # a wrong closed form (3 pi^2 for 8/3 pi^2), caught by quadrature's sigma <= 1
-    monkeypatch.setattr("sphereint.cli.sphere_volume", lambda dim: PiRational(Fraction(3), 4))
+    monkeypatch.setattr("sphereint.cli.sphere_volume", lambda D: PiRational(Fraction(3), 4))
     cases = [
         ["mu-power", "--D", "2", "--alpha", "2", "--seed", "5", "--samples", "2000", *tight],
         ["volume", "--D", "4", "--verify", "--oracle", "quad"],

@@ -21,9 +21,8 @@ from sphereint.exactpi import (
 )
 import sphereint.oracle
 from sphereint import integrals
-from sphereint.fluid import fluid_closed, fluid_series
+from sphereint.fluid import FluidParams, fluid_closed, fluid_series
 from sphereint.integrals import (
-    SphereDim,
     dirichlet_abs,
     dirichlet_abs_float,
     dirichlet_signed,
@@ -55,15 +54,35 @@ def circle_quadrature(f, npoints=4000):
     return float(np.mean(f(phis))) * 2 * math.pi
 
 
-def test_dimension_bookkeeping():
-    d = SphereDim(7)
-    assert (d.n, d.eps, d.n_angles, d.n_mu) == (3, 1, 4, 4)
-    d = SphereDim(6)
-    assert (d.n, d.eps, d.n_angles, d.n_mu) == (3, 0, 3, 4)
-    with pytest.raises(DomainError):
-        SphereDim(0)
-    with pytest.raises(TypeError):
-        SphereDim(2.0)
+def _one_sample():
+    return sphereint.oracle.MCConfig(seed=0, samples=1)
+
+
+# every public entry point that takes a sphere dimension D; D is checked before the rest
+_TAKES_D = {
+    "sphere_volume": sphere_volume,
+    "mu_power_integral": lambda D: mu_power_integral(D, ()),
+    "mu_power_float": lambda D: mu_power_float(D, ()),
+    "reduction_rhs": lambda D: reduction_rhs(D, ()),
+    "term_integral": lambda D: term_integral(D, ()),
+    "FluidParams": lambda D: FluidParams(D, ()),
+    "sample_batch": lambda D: sphereint.oracle.sample_batch(D, _one_sample()),
+    "mc_integrate": lambda D: sphereint.oracle.mc_integrate(D, len, _one_sample()),
+    "quad_integrate": lambda D: sphereint.oracle.quad_integrate(D, len),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_D))
+def test_dimension_refusals(name):
+    for D, error, message in [
+        (True, TypeError, "sphere dimension must be an integer, got True"),
+        (2.0, TypeError, "sphere dimension must be an integer, got 2.0"),
+        (0, DomainError, "sphere dimension must be >= 1, got 0"),
+        (-1, DomainError, "sphere dimension must be >= 1, got -1"),
+    ]:
+        with pytest.raises(error) as info:
+            _TAKES_D[name](D)
+        assert (type(info.value), str(info.value)) == (error, message), (name, D)
 
 
 def test_volume_table():
@@ -142,26 +161,23 @@ def test_reduction_examples():
 
 def test_reduction_identity_small_sweep():
     for D in range(1, 7):
-        dim = SphereDim(D)
-        for alphas in itertools.product(range(-1, 4), repeat=dim.n_angles):
-            assert mu_power_integral(dim, alphas) == reduction_rhs(dim, alphas)
+        for alphas in itertools.product(range(-1, 4), repeat=(D + 1) // 2):
+            assert mu_power_integral(D, alphas) == reduction_rhs(D, alphas)
 
 
 def test_reduction_float_route():
     rng = random.Random(11)
     for D in range(1, 8):
-        dim = SphereDim(D)
-        alphas = tuple(rng.uniform(-0.9, 4.0) for _ in range(dim.n_angles))
-        lhs = mu_power_float(dim, alphas)
-        rhs = reduction_rhs(dim, alphas)
+        alphas = tuple(rng.uniform(-0.9, 4.0) for _ in range((D + 1) // 2))
+        lhs = mu_power_float(D, alphas)
+        rhs = reduction_rhs(D, alphas)
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
 def test_term_integral():
     for D in (1, 2, 3, 5, 8):
-        dim = SphereDim(D)
-        zeros = (0,) * dim.n_angles
-        assert term_integral(dim, zeros) == sphere_volume(dim)
+        zeros = (0,) * ((D + 1) // 2)
+        assert term_integral(D, zeros) == sphere_volume(D)
     assert term_integral(2, (1,)) == PiRational(Fraction(8, 3), 2)
     # frozen after checking against the MC oracle
     assert term_integral(3, (1, 1)) == PiRational(Fraction(1, 3), 4)
@@ -169,9 +185,8 @@ def test_term_integral():
 
 def test_term_integral_matches_mu_power_structurally():
     for D in range(1, 9):
-        dim = SphereDim(D)
-        for ks in itertools.product(range(3), repeat=dim.n_angles):
-            assert term_integral(dim, ks) == mu_power_integral(dim, tuple(2 * k for k in ks))
+        for ks in itertools.product(range(3), repeat=(D + 1) // 2):
+            assert term_integral(D, ks) == mu_power_integral(D, tuple(2 * k for k in ks))
 
 
 def test_symmetry_sum_reconstructs_volume():
@@ -200,16 +215,16 @@ def test_permutation_invariance_exact(data):
 @given(st.data())
 def test_permutation_invariance_float(data):
     D = data.draw(st.integers(min_value=2, max_value=7))
-    dim = SphereDim(D)
+    circles = (D + 1) // 2
     alphas = data.draw(
         st.lists(
             st.floats(min_value=-0.9, max_value=5.0, allow_nan=False),
-            min_size=dim.n_angles,
-            max_size=dim.n_angles,
+            min_size=circles,
+            max_size=circles,
         )
     )
     perm = data.draw(st.permutations(alphas))
-    assert mu_power_float(dim, perm) == pytest.approx(mu_power_float(dim, alphas), rel=1e-12)
+    assert mu_power_float(D, perm) == pytest.approx(mu_power_float(D, alphas), rel=1e-12)
 
 
 @settings(max_examples=150, derandomize=True)
@@ -221,15 +236,15 @@ def test_positivity(data):
     )
     assert dirichlet_abs(n, alphas).q > 0
     D = data.draw(st.integers(min_value=1, max_value=8))
-    dim = SphereDim(D)
+    circles = (D + 1) // 2
     mus = data.draw(
         st.lists(
             st.integers(min_value=-1, max_value=8),
-            min_size=dim.n_angles,
-            max_size=dim.n_angles,
+            min_size=circles,
+            max_size=circles,
         )
     )
-    assert mu_power_integral(dim, mus).q > 0
+    assert mu_power_integral(D, mus).q > 0
 
 
 def test_underflow_is_reported_on_both_paths():
@@ -336,9 +351,8 @@ def test_mode_consistency_spot_checks():
             dirichlet_abs_float(n, [float(a) for a in alphas]), rel=1e-12
         )
     for D, alphas in [(2, (2,)), (3, (2, 4)), (6, (0, 2, 4)), (9, (2, 2, 0, 0, 2))]:
-        dim = SphereDim(D)
-        assert to_float(mu_power_integral(dim, alphas)) == pytest.approx(
-            mu_power_float(dim, [float(a) for a in alphas]), rel=1e-12
+        assert to_float(mu_power_integral(D, alphas)) == pytest.approx(
+            mu_power_float(D, [float(a) for a in alphas]), rel=1e-12
         )
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sphereint import oracle
 from sphereint.exactpi import DomainError, PiRational, to_float
 from sphereint.fluid import FluidParams, fluid_closed, gamma_power_values
-from sphereint.integrals import SphereDim, mu_power_float, poly_integrate, sphere_volume
+from sphereint.integrals import mu_power_float, poly_integrate, sphere_volume
 from sphereint.oracle import (
     _CHUNK,
     _MAX_QUAD_AXIS_NODES,
@@ -48,33 +48,33 @@ def test_config_validation():
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
 def test_sampler_chart_invariants(D):
-    dim = SphereDim(D)
-    batch = sample_batch(dim, MCConfig(seed=300 + D, samples=2000))
+    k = (D + 1) // 2
+    batch = sample_batch(D, MCConfig(seed=300 + D, samples=2000))
     xs, mus, phis = batch.xs, batch.mus, batch.phis
     assert xs.shape == (2000, D + 1)
-    assert mus.shape == (2000, dim.n_mu)
-    assert phis.shape == (2000, dim.n_angles)
+    assert mus.shape == (2000, D // 2 + 1)
+    assert phis.shape == (2000, k)
 
     # unit embedding vector and unit radius vector
     np.testing.assert_allclose(np.sum(xs**2, axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.sum(mus**2, axis=1), 1.0, rtol=0, atol=1e-12)
 
     # paired radii are non-negative; angles live in [0, 2 pi)
-    assert np.all(mus[:, : dim.n_angles] >= 0)
+    assert np.all(mus[:, :k] >= 0)
     assert np.all(phis >= 0) and np.all(phis < 2 * math.pi)
 
     # chart reconstruction x_{2i-1} = mu_i cos phi_i, x_{2i} = mu_i sin phi_i
-    for i in range(dim.n_angles):
+    for i in range(k):
         np.testing.assert_allclose(
             xs[:, 2 * i], mus[:, i] * np.cos(phis[:, i]), atol=1e-12
         )
         np.testing.assert_allclose(
             xs[:, 2 * i + 1], mus[:, i] * np.sin(phis[:, i]), atol=1e-12
         )
-    if dim.eps == 0:
+    if D % 2 == 0:
         # the unpaired radius carries the sign of the last coordinate
-        np.testing.assert_array_equal(mus[:, dim.n], xs[:, D])
-        assert np.any(mus[:, dim.n] < 0)
+        np.testing.assert_array_equal(mus[:, D // 2], xs[:, D])
+        assert np.any(mus[:, D // 2] < 0)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
@@ -144,21 +144,20 @@ def test_mc_frozen_regression():
     assert est.error == 0.0029624983642204507
 
 
-def _chart(dim, xs):
+def _chart(D, xs):
     # the sampler's polar chart, written out as a reference for the lazy one
-    k = dim.n_angles
+    k = (D + 1) // 2
     even, odd = xs[:, 0 : 2 * k : 2], xs[:, 1 : 2 * k : 2]
     mus = np.hypot(even, odd)
-    if dim.eps == 0:
-        mus = np.column_stack([mus, xs[:, dim.D]])
+    if D % 2 == 0:
+        mus = np.column_stack([mus, xs[:, D]])
     return mus, np.mod(np.arctan2(odd, even), 2.0 * math.pi)
 
 
 @pytest.mark.parametrize("D", [4, 5])
 def test_sample_batch_chart_matches_per_chunk_chart(D):
-    dim = SphereDim(D)
-    batch = sample_batch(dim, MCConfig(seed=77, samples=_CHUNK + 5))
-    parts = [_chart(dim, batch.xs[:_CHUNK]), _chart(dim, batch.xs[_CHUNK:])]
+    batch = sample_batch(D, MCConfig(seed=77, samples=_CHUNK + 5))
+    parts = [_chart(D, batch.xs[:_CHUNK]), _chart(D, batch.xs[_CHUNK:])]
     assert batch.mus.tobytes() == np.concatenate([m for m, _ in parts]).tobytes()
     assert batch.phis.tobytes() == np.concatenate([p for _, p in parts]).tobytes()
 
@@ -322,9 +321,8 @@ def test_quad_pass_matches_a_reference_loop():
     alphas = (2, 0.5, 1, 0)
     f = lambda mus: mu_power_values(mus, alphas)
     for D in (6, 7):
-        dim = SphereDim(D)
-        n, axes = dim.n, _axis_data(dim, 8)
-        columns = list(range(n + 1)) if dim.eps == 1 else [n] + list(range(n))
+        n, axes = D // 2, _axis_data(D, 8)
+        columns = list(range(n + 1)) if D % 2 == 1 else [n] + list(range(n))
         terms = []
         for nodes in itertools.product(range(8), repeat=n):
             mus, carry, weight = np.empty((1, n + 1)), 1.0, 1.0
@@ -333,8 +331,8 @@ def test_quad_pass_matches_a_reference_loop():
                 carry, weight = carry * sin[k], weight * w[k]
             mus[0, columns[n]] = carry
             terms.append(weight * f(mus)[0])
-        expected = (2.0 * math.pi) ** dim.n_angles * math.fsum(terms)
-        assert oracle._quad_tensor(dim, f, 8) == pytest.approx(expected, rel=64 * 2.0**-52, abs=0)
+        expected = (2.0 * math.pi) ** ((D + 1) // 2) * math.fsum(terms)
+        assert oracle._quad_tensor(D, f, 8) == pytest.approx(expected, rel=64 * 2.0**-52, abs=0)
 
 
 def test_quad_integrand_gets_a_row_major_grid():
@@ -368,11 +366,11 @@ def test_mc_memory_does_not_grow_with_D():
 
 def test_sample_batch_is_chunk_independent(monkeypatch):
     # the normal stream is row-major, so where the chunks split it moves no point
-    dim, config = SphereDim(40), MCConfig(seed=5, samples=200)
-    whole = sample_batch(dim, config).xs  # one chunk: 200 rows < 2^21 // 41
+    config = MCConfig(seed=5, samples=200)
+    whole = sample_batch(40, config).xs  # one chunk: 200 rows < 2^21 // 41
     for values in (41, 41 * 7, 41 * 64 + 3):  # 1, 7 and 64 rows per chunk
         monkeypatch.setattr(oracle, "_CHUNK_VALUES", values)
-        assert sample_batch(dim, config).xs.tobytes() == whole.tobytes()
+        assert sample_batch(40, config).xs.tobytes() == whole.tobytes()
 
 
 def test_quad_grid_memory_stays_bounded():
@@ -394,7 +392,7 @@ def test_quad_nodes_stay_on_their_axis():
     # unclipped, the smootherstep rounds past 1 at some node counts from 555
     # on, and a fractional power of the then negative cos(theta) is NaN
     for npoints in (300, 555, 600, 1024):
-        for cos, sin, _ in _axis_data(SphereDim(5), npoints):
+        for cos, sin, _ in _axis_data(5, npoints):
             assert cos.min() >= 0.0 and sin.min() >= 0.0
     alphas = (2.5, 0)
     est = quad_integrate(3, lambda mus: mu_power_values(mus, alphas), nodes_per_axis=300)
@@ -402,8 +400,10 @@ def test_quad_nodes_stay_on_their_axis():
 
 
 def test_quad_axis_table_is_cached_and_read_only():
-    axes = _axis_data(SphereDim(7), 16)
-    assert _axis_data(SphereDim(7), 16) is axes  # an equal key, not the same object
+    _axis_data.cache_clear()
+    axes = _axis_data(7, 16)
+    assert _axis_data(7, 16) is axes
+    assert _axis_data.cache_info()[:2] == (1, 1)  # one hit, one miss
     for array in (a for axis in axes for a in axis):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -411,7 +411,7 @@ def test_quad_axis_table_is_cached_and_read_only():
 
 
 def test_quad_rule_is_computed_once_per_node_count(monkeypatch):
-    # the axis tables are per (dim, N), the Gauss-Legendre rule per N alone
+    # the axis tables are per (D, N), the Gauss-Legendre rule per N alone
     calls = []
     leggauss = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
@@ -460,7 +460,7 @@ def _largest_nodes(D):
 @st.composite
 def _quad_cases(draw):
     D = draw(st.integers(2, 9))
-    k = SphereDim(D).n_angles
+    k = (D + 1) // 2
     # mostly small grids: one pass at the budget takes up to half a second
     N = draw(st.one_of(st.integers(_MIN_QUAD_NODES, 16),
                        st.integers(_MIN_QUAD_NODES, _largest_nodes(D))))

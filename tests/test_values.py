@@ -9,7 +9,6 @@ import pytest
 
 from sphereint.exactpi import DomainError, PiRational
 from sphereint.fluid import FluidParams, SeriesResult
-from sphereint.integrals import SphereDim
 from sphereint.oracle import MCConfig, OracleEstimate, sample_batch
 
 # (make, a different value, repr, fields in order)
@@ -18,10 +17,8 @@ VALUES = {
                    "PiRational(q=Fraction(3, 4), m=2)", {"q": Fraction(3, 4), "m": 2}),
     "PiRational zero": (lambda: PiRational(0, 5), PiRational(1),
                         "PiRational(q=Fraction(0, 1), m=0)", {"q": Fraction(0), "m": 0}),
-    "SphereDim": (lambda: SphereDim(3), SphereDim(4), "SphereDim(D=3)", {"D": 3}),
     "FluidParams": (lambda: FluidParams(2, [0.6]), FluidParams(2, [-0.6]),
-                    "FluidParams(dim=SphereDim(D=2), omegas=(0.6,))",
-                    {"dim": SphereDim(2), "omegas": (0.6,)}),
+                    "FluidParams(D=2, omegas=(0.6,))", {"D": 2, "omegas": (0.6,)}),
     "MCConfig": (lambda: MCConfig(seed=1, samples=10), MCConfig(1, 11),
                  "MCConfig(seed=1, samples=10)", {"seed": 1, "samples": 10}),
 }
@@ -90,11 +87,7 @@ def test_constructors_keep_their_signatures_and_messages():
         PiRational(0.5, 1)
     with pytest.raises(TypeError, match="pi power m must be an integer"):
         PiRational(1, True)
-    with pytest.raises(TypeError, match="must be an integer, got 2.0"):
-        SphereDim(D=2.0)
-    with pytest.raises(DomainError, match="must be >= 1, got 0"):
-        SphereDim(0)
-    assert FluidParams(dim=SphereDim(3), omegas=(0, 0.5)) == FluidParams(3, [0.0, 0.5])
+    assert FluidParams(D=3, omegas=(0, 0.5)) == FluidParams(3, [0.0, 0.5])
     with pytest.raises(ValueError, match="has 2 rotation circles, got 1"):
         FluidParams(3, (0.5,))
     with pytest.raises(DomainError, match="w\\^2 >= 1"):
