@@ -43,27 +43,19 @@ Number = int | float
 _FLOAT_MAX_REL_ERR = 1e-10
 
 
-def _check_D(D: int) -> int:
-    """Validate the dimension of the unit sphere S^D in R^(D+1).
+def _check_D(D: int, low: int = 1) -> int:
+    """Validate the dimension D >= low of the unit sphere S^D in R^(D+1).
 
     D = 2n + eps with n = D // 2 and eps = D % 2.  There are n + eps =
     (D + 1) // 2 angle/radius pairs, one per coordinate circle, and n + 1
     polar radii; for even D the last radius mu_{n+1} is the lone unpaired
-    coordinate and carries a sign.
+    coordinate and carries a sign.  The monomials over S^n pass low = 0.
     """
     if isinstance(D, bool) or not isinstance(D, int):
         raise TypeError(f"sphere dimension must be an integer, got {D!r}")
-    if D < 1:
-        raise DomainError(f"sphere dimension must be >= 1, got {D}")
+    if D < low:
+        raise DomainError(f"sphere dimension must be >= {low}, got {D}")
     return D
-
-
-def _check_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"sphere index n must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"sphere index n must be >= 0, got {n}")
-    return n
 
 
 def _check_exponents(
@@ -148,7 +140,7 @@ def dirichlet_signed(n: int, alphas: Sequence[int]) -> PiRational:
     Odd exponents kill the integral by the x_j -> -x_j symmetry; otherwise
     the value is 2 prod Gamma((1+a_j)/2) / Gamma((n+1)/2 + sum a_j / 2).
     """
-    n = _check_n(n)
+    n = _check_D(n, 0)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_signed")
     if not _all_int(alphas):
         raise TypeError(
@@ -166,6 +158,7 @@ def poly_integrate(n: int, poly: Mapping[Sequence[int], int | Fraction]) -> PiRa
     coefficients.  Linearity over the signed monomial integrals; odd
     monomials drop out exactly.
     """
+    n = _check_D(n, 0)
     total = PiRational(Fraction(0))
     for exps in sorted(poly):  # fixed term order, deterministic accumulation
         coeff = poly[exps]
@@ -184,7 +177,7 @@ def dirichlet_abs(n: int, alphas: Sequence[Number]) -> PiRational | float:
 
     Exact PiRational when every exponent is an int; floating otherwise.
     """
-    n = _check_n(n)
+    n = _check_D(n, 0)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
     kernel = _gamma_quotient if _all_int(alphas) else _lgamma_quotient
     return kernel(0, 1, alphas, n + 1)
@@ -197,7 +190,7 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     Raises DomainError for exponents so large that the log-Gamma terms
     cancel past a 1e-10 relative error.
     """
-    n = _check_n(n)
+    n = _check_D(n, 0)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
     return _lgamma_quotient(0, 1, alphas, n + 1)
 
@@ -231,18 +224,17 @@ def reduction_rhs(D: int, alphas: Sequence[Number]) -> PiRational | float:
 
     pi^(n+eps) times the S^n integral of prod |mu_j|^(a_j + 1), the
     exponent vector zero-padded on the polar radii absent from the product
-    so its length is n + 1.  Structurally equal to mu_power_integral for
-    integer exponents; agrees through the floating path otherwise.
+    so its length is n + 1.  One route: dirichlet_abs picks the exact or
+    the floating kernel, and the pi^(n+eps) factor follows its result's
+    type.  Structurally equal to mu_power_integral for integer exponents.
     """
     D = _check_D(D)
     circles = (D + 1) // 2
     alphas = _check_exponents(alphas, circles, -1, "reduction_rhs")
-    pad = 1 - D % 2  # the unpaired mu_{n+1} of even D
-    if _all_int(alphas):
-        shifted = tuple(a + 1 for a in alphas) + (0,) * pad
-        return PiRational(1, 2 * circles) * dirichlet_abs(D // 2, shifted)
-    shifted = tuple(float(a) + 1.0 for a in alphas) + (0.0,) * pad
-    return math.pi ** circles * dirichlet_abs_float(D // 2, shifted)
+    shifted = tuple(a + 1 for a in alphas) + (0,) * (1 - D % 2)  # pad: even D's mu_{n+1}
+    value = dirichlet_abs(D // 2, shifted)
+    scale = PiRational(1, 2 * circles) if isinstance(value, PiRational) else math.pi ** circles
+    return scale * value
 
 
 def term_integral(D: int, ks: Sequence[int]) -> PiRational:
@@ -254,14 +246,9 @@ def term_integral(D: int, ks: Sequence[int]) -> PiRational:
     mu_power_integral(D, 2 ks) is a genuine cross-check.
     """
     D = _check_D(D)
-    ks = tuple(ks)
-    if len(ks) != (D + 1) // 2:
-        raise ValueError(
-            f"term_integral takes {(D + 1) // 2} orders for D={D}, got {len(ks)}"
-        )
-    for k in ks:
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError(f"term orders must be non-negative integers, got {k!r}")
+    ks = _check_exponents(ks, (D + 1) // 2, 0, "term_integral")
+    if not _all_int(ks):
+        raise TypeError("term_integral needs integer orders; use mu_power_integral for real ones")
     denom = gamma_half(Fraction(D + 1, 2) + sum(ks))  # first: its cap bounds every k_j!
     q = Fraction(2)
     for k in ks:

@@ -98,12 +98,12 @@ class IntegrandError(ValueError):
         self.row = row
 
 
-class OracleEstimate(namedtuple("OracleEstimate", "value error samples_or_nodes method")):
+class OracleEstimate(namedtuple("OracleEstimate", "value error samples_or_nodes")):
     """Estimate plus its honesty bound.
 
-    error is the standard error of the mean for method == "mc" and the
-    node-refinement bound for method == "quad".  samples_or_nodes counts
-    integrand evaluations.
+    The function that returns it sets what error means: the standard error
+    of the mean from mc_integrate, the node-refinement bound from
+    quad_integrate.  samples_or_nodes counts integrand evaluations.
     """
 
     __slots__ = ()
@@ -179,7 +179,6 @@ def mc_integrate(
         value=vol * mean,
         error=vol * std_err,
         samples_or_nodes=count,
-        method="mc",
     )
 
 
@@ -353,7 +352,6 @@ def quad_integrate(
         value=fine,
         error=bound,
         samples_or_nodes=nodes_per_axis ** n + refined ** n,
-        method="quad",
     )
 
 

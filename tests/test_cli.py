@@ -363,8 +363,7 @@ def test_mc_samples_budget(tmp_path, capsys, monkeypatch):
 
     def stub(D, f, config):
         seen.append((D, config.samples))
-        return oracle.OracleEstimate(value=1.0, error=0.0, samples_or_nodes=config.samples,
-                                     method="mc")
+        return oracle.OracleEstimate(value=1.0, error=0.0, samples_or_nodes=config.samples)
 
     monkeypatch.setattr(oracle, "mc_integrate", stub)
     # at the budget, samples * (D+1) = 10^8 coordinates, the oracle runs
@@ -390,6 +389,20 @@ def test_mc_samples_budget(tmp_path, capsys, monkeypatch):
                         "--samples", "100000000000"], capsys)
     assert (code, err) == (0, "")
     assert len(seen) == 2
+
+
+def test_nodes_floor_is_the_oracles(capsys):
+    # build_parser writes the floor as a literal so that parsing imports no
+    # numpy; it must refuse exactly what quad_integrate refuses
+    from sphereint.oracle import _MIN_QUAD_NODES
+
+    argv = ["volume", "--D", "4", "--verify", "--oracle", "quad", "--nodes"]
+    below = str(_MIN_QUAD_NODES - 1)
+    assert run([*argv, below], capsys) == (
+        1, "", f"error: argument --nodes: must be a finite number >= {_MIN_QUAD_NODES}, "
+               f"got {below}\n")
+    code, _, err = run([*argv, str(_MIN_QUAD_NODES)], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_exit_domain_errors(capsys):

@@ -28,6 +28,7 @@ from sphereint.integrals import (
     dirichlet_signed,
     mu_power_float,
     mu_power_integral,
+    poly_integrate,
     reduction_rhs,
     sphere_volume,
     term_integral,
@@ -58,7 +59,8 @@ def _one_sample():
     return sphereint.oracle.MCConfig(seed=0, samples=1)
 
 
-# every public entry point that takes a sphere dimension D; D is checked before the rest
+# every public entry point that takes a sphere dimension, checked before the rest:
+# D >= 1 for S^D here, n >= 0 for the monomial integrals over S^n below
 _TAKES_D = {
     "sphere_volume": sphere_volume,
     "mu_power_integral": lambda D: mu_power_integral(D, ()),
@@ -71,18 +73,30 @@ _TAKES_D = {
     "quad_integrate": lambda D: sphereint.oracle.quad_integrate(D, len),
 }
 
+_TAKES_N = {
+    "dirichlet_signed": lambda n: dirichlet_signed(n, (0,)),
+    "dirichlet_abs": lambda n: dirichlet_abs(n, (0,)),
+    "dirichlet_abs_float": lambda n: dirichlet_abs_float(n, (0.0,)),
+    "poly_integrate": lambda n: poly_integrate(n, {(0,): 1}),
+}
 
-@pytest.mark.parametrize("name", sorted(_TAKES_D))
+
+@pytest.mark.parametrize("name", sorted(_TAKES_D.keys() | _TAKES_N.keys()))
 def test_dimension_refusals(name):
+    call, low = (_TAKES_D[name], 1) if name in _TAKES_D else (_TAKES_N[name], 0)
     for D, error, message in [
         (True, TypeError, "sphere dimension must be an integer, got True"),
         (2.0, TypeError, "sphere dimension must be an integer, got 2.0"),
-        (0, DomainError, "sphere dimension must be >= 1, got 0"),
-        (-1, DomainError, "sphere dimension must be >= 1, got -1"),
+        (low - 1, DomainError, f"sphere dimension must be >= {low}, got {low - 1}"),
+        (-1, DomainError, f"sphere dimension must be >= {low}, got -1"),
     ]:
         with pytest.raises(error) as info:
-            _TAKES_D[name](D)
+            call(D)
         assert (type(info.value), str(info.value)) == (error, message), (name, D)
+    if low == 0:  # S^0 is two points, so the integral of x^0 over it is 2
+        value = call(0)
+        assert value == (pytest.approx(2.0, rel=1e-14) if isinstance(value, float)
+                         else PiRational(Fraction(2))), name
 
 
 def test_volume_table():
@@ -181,6 +195,22 @@ def test_term_integral():
     assert term_integral(2, (1,)) == PiRational(Fraction(8, 3), 2)
     # frozen after checking against the MC oracle
     assert term_integral(3, (1, 1)) == PiRational(Fraction(1, 3), 4)
+
+
+def test_term_integral_refusals():
+    # the orders pass the exponent check of the other closed forms, then must be ints
+    for ks, error, message in [
+        ((0,), ValueError,
+         "term_integral takes 2 exponents here, got 1; pass exactly one per coordinate"),
+        ((1, -1), DomainError, "term_integral requires every exponent >= 0, got -1"),
+        ((1, 1.0), TypeError,
+         "term_integral needs integer orders; use mu_power_integral for real ones"),
+        ((True, 0), TypeError,
+         "exponents must be int (exact path) or float (floating path), got True"),
+    ]:
+        with pytest.raises(error) as info:
+            term_integral(3, ks)
+        assert (type(info.value), str(info.value)) == (error, message), ks
 
 
 def test_term_integral_matches_mu_power_structurally():

@@ -101,8 +101,8 @@ def test_constructors_keep_their_signatures_and_messages():
 @pytest.mark.parametrize("cls, fields, text", [
     (SeriesResult, dict(value=1.5, terms_used=4, last_term_magnitude=0.25, truncation_order=3),
      "SeriesResult(value=1.5, terms_used=4, last_term_magnitude=0.25, truncation_order=3)"),
-    (OracleEstimate, dict(value=1.0, error=0.5, samples_or_nodes=10, method="mc"),
-     "OracleEstimate(value=1.0, error=0.5, samples_or_nodes=10, method='mc')"),
+    (OracleEstimate, dict(value=1.0, error=0.5, samples_or_nodes=10),
+     "OracleEstimate(value=1.0, error=0.5, samples_or_nodes=10)"),
 ])
 def test_records_keep_field_access_and_repr(cls, fields, text):
     record = cls(**fields)
