@@ -191,7 +191,7 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
     cancel past a 1e-10 relative error.
     """
     n = _check_D(n, 0)
-    alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs")
+    alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs_float")
     return _lgamma_quotient(0, 1, alphas, n + 1)
 
 
@@ -215,7 +215,7 @@ def mu_power_float(D: int, alphas: Sequence[Number]) -> float:
     cancel past a 1e-10 relative error.
     """
     D = _check_D(D)
-    alphas = _check_exponents(alphas, (D + 1) // 2, -1, "mu_power_integral")
+    alphas = _check_exponents(alphas, (D + 1) // 2, -1, "mu_power_float")
     return _lgamma_quotient(D + 1, 2, alphas, D + 1)
 
 

@@ -65,6 +65,7 @@ class PointBatch:
     phi_i in [0, 2 pi), plus for even D the sign-carrying x_{2n+1} = mu_{n+1}.
     Only xs is stored: mus and phis are computed from xs on first access
     and cached, so an integrand that reads xs alone never pays for them.
+    A pair radius is sqrt(x*x + y*y), within 1 ulp of hypot; unit rows cannot overflow.
     """
 
     def __init__(self, D: int, xs: np.ndarray):
@@ -76,11 +77,17 @@ class PointBatch:
 
     @cached_property
     def mus(self) -> np.ndarray:
-        k = (self.D + 1) // 2
-        pair_mus = np.hypot(self.xs[:, 0 : 2 * k : 2], self.xs[:, 1 : 2 * k : 2])
+        xs, k = self.xs, (self.D + 1) // 2
+        mus = np.empty((len(xs), self.D // 2 + 1))
+        step = max(1, _TILE_ELEMS // k)  # rows per block; its y*y is the only temporary
+        for i in range(0, len(xs), step):
+            x, y = xs[i : i + step, 0 : 2 * k : 2], xs[i : i + step, 1 : 2 * k : 2]
+            pair = mus[i : i + step, :k]
+            np.add(np.multiply(x, x, out=pair), y * y, out=pair)
+        np.sqrt(mus[:, :k], out=mus[:, :k])
         if self.D % 2 == 0:
-            return np.column_stack([pair_mus, self.xs[:, self.D]])
-        return pair_mus
+            mus[:, k] = xs[:, self.D]
+        return mus
 
     @cached_property
     def phis(self) -> np.ndarray:
@@ -362,12 +369,20 @@ def quad_integrate(
 def monomial_values(
     xs: np.ndarray, exps: Sequence[int | float], absolute: bool = False
 ) -> np.ndarray:
-    """prod_j xs[:, j]^(e_j), optionally with |xs| as the base."""
+    """prod_j xs[:, j]^(e_j), optionally with |xs| as the base; never a view of xs.
+
+    An even exponent >= 4 on a signed base raises |x|: numpy's pow is slow
+    on negative bases, and the two differ by at most 1 ulp.
+    """
     base = np.abs(xs) if absolute else xs
     out = None
     for j, e in enumerate(exps):
         if e:
-            p = base[:, j] ** float(e)
+            p = base[:, j]
+            if e != 1:  # x ** 1.0 is x: multiply by the column itself
+                p = (np.abs(p) if not absolute and e >= 4 and e % 2 == 0 else p) ** float(e)
+            elif out is None:
+                p = p.copy()
             out = p if out is None else np.multiply(out, p, out=out)
     return np.ones(xs.shape[0]) if out is None else out
 

@@ -518,7 +518,7 @@ def test_verify_mc_paths(capsys):
     # the MC error is rounding noise, not a spread to divide a rounding gap by
     code, out, err = run(["fluid", "--D", "3", "--omega", "0.5,0.5", "--verify"], capsys)
     assert (code, err) == (0, "")
-    assert out.endswith("+- 2.85e-17\nagreement sigma = 0\nstatus = ok\n")
+    assert out.endswith("+- 1.6e-17\nagreement sigma = 0\nstatus = ok\n")
 
 
 # -- imports ----------------------------------------------------------------

@@ -213,6 +213,22 @@ def test_term_integral_refusals():
         assert (type(info.value), str(info.value)) == (error, message), ks
 
 
+def test_float_paths_name_themselves_in_refusals():
+    for call, error, message in [
+        (lambda: dirichlet_abs_float(1, (1.0,)), ValueError,
+         "dirichlet_abs_float takes 2 exponents here, got 1; pass exactly one per coordinate"),
+        (lambda: dirichlet_abs_float(1, (1.0, -0.5)), DomainError,
+         "dirichlet_abs_float requires every exponent >= 0, got -0.5"),
+        (lambda: mu_power_float(3, (1.0,)), ValueError,
+         "mu_power_float takes 2 exponents here, got 1; pass exactly one per coordinate"),
+        (lambda: mu_power_float(3, (-2.0, 0.0)), DomainError,
+         "mu_power_float requires every exponent >= -1, got -2.0"),
+    ]:
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_term_integral_matches_mu_power_structurally():
     for D in range(1, 9):
         for ks in itertools.product(range(3), repeat=(D + 1) // 2):

@@ -148,7 +148,7 @@ def _chart(D, xs):
     # the sampler's polar chart, written out as a reference for the lazy one
     k = (D + 1) // 2
     even, odd = xs[:, 0 : 2 * k : 2], xs[:, 1 : 2 * k : 2]
-    mus = np.hypot(even, odd)
+    mus = np.sqrt(even * even + odd * odd)
     if D % 2 == 0:
         mus = np.column_stack([mus, xs[:, D]])
     return mus, np.mod(np.arctan2(odd, even), 2.0 * math.pi)
@@ -160,6 +160,63 @@ def test_sample_batch_chart_matches_per_chunk_chart(D):
     parts = [_chart(D, batch.xs[:_CHUNK]), _chart(D, batch.xs[_CHUNK:])]
     assert batch.mus.tobytes() == np.concatenate([m for m, _ in parts]).tobytes()
     assert batch.phis.tobytes() == np.concatenate([p for _, p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 12, 40])
+def test_chart_is_within_an_ulp_of_hypot(D):
+    # 20,000 rows span more than one chart block at every D here
+    batch = sample_batch(D, MCConfig(seed=500 + D, samples=20000))
+    xs, mus, k = batch.xs, batch.mus, (D + 1) // 2
+    reference = np.hypot(xs[:, 0 : 2 * k : 2], xs[:, 1 : 2 * k : 2])
+    assert mus.shape == (20000, D // 2 + 1)
+    assert np.all(np.abs(mus[:, :k] - reference) <= np.spacing(reference))
+    assert np.all(mus[:, :k] >= 0)
+    assert np.all(np.abs(np.sum(mus * mus, axis=1) - 1.0) <= 8 * np.finfo(float).eps)
+    if D % 2 == 0:
+        assert mus[:, k].tobytes() == xs[:, D].tobytes()
+
+
+def _pow_reference(xs, exps, absolute=False):
+    # prod_j base[:, j] ** float(e_j) in column order, numpy's pow for every factor
+    base = np.abs(xs) if absolute else xs
+    out = np.ones(len(xs))
+    for j, e in enumerate(exps):
+        if e:
+            out = out * base[:, j] ** float(e)
+    return out
+
+
+@pytest.mark.parametrize("exps", [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (2, 1, 0, 1)])
+@pytest.mark.parametrize("absolute", [False, True])
+def test_monomial_exponent_one_copies_with_the_bits_of_pow(exps, absolute):
+    xs = sample_batch(3, MCConfig(seed=16, samples=5000)).xs
+    before = xs.copy()
+    out = monomial_values(xs, exps, absolute)
+    assert out.tobytes() == _pow_reference(xs, exps, absolute).tobytes()
+    assert not np.shares_memory(out, xs)
+    assert xs.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("e", [4, 6, 4.0])
+def test_monomial_even_signed_power_is_taken_on_the_magnitude(e):
+    xs = sample_batch(3, MCConfig(seed=17, samples=5000)).xs
+    x = xs[:, 1]
+    out = monomial_values(xs, (0, e, 0, 0))
+    assert out.tobytes() == (np.abs(x) ** float(e)).tobytes()
+    signed_pow = x ** float(e)
+    assert np.all(np.abs(out - signed_pow) <= np.spacing(signed_pow))
+
+
+@pytest.mark.parametrize("field, exps, absolute", [
+    ("xs", (2, 0, 0, 0), False), ("xs", (0, 2, 2, 0), False), ("xs", (3, 0, 0, 2), False),
+    ("xs", (2, 0, 0, 0), True), ("xs", (0.5, 0, 2.5, 0), True), ("xs", (4, 0, 1.5, 6), True),
+    ("mus", (2.0, -1.0), False), ("mus", (0.5, -0.5), False), ("mus", (0, 2.5), False),
+])
+def test_monomial_other_exponents_keep_their_bits(field, exps, absolute):
+    rows = getattr(sample_batch(3, MCConfig(seed=18, samples=5000)), field)
+    assert monomial_values(rows, exps, absolute).tobytes() == (
+        _pow_reference(rows, exps, absolute).tobytes()
+    )
 
 
 def test_mc_xs_only_integrand_charts_nothing():
