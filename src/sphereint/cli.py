@@ -123,9 +123,10 @@ def build_parser() -> _Parser:
                        help="quadrature nodes per axis")
     check.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
                        help="MC disagreement threshold")
+    dim = _Parser(add_help=False)  # the sphere dimension of the five commands on S^D
+    dim.add_argument("--D", type=int, required=True)
 
-    p = subs.add_parser("volume", parents=[check], help="total volume of S^D")
-    p.add_argument("--D", type=int, required=True)
+    subs.add_parser("volume", parents=[check, dim], help="total volume of S^D")
 
     p = subs.add_parser("dirichlet", parents=[check], help="monomial integral over S^n")
     p.add_argument("--n", type=int, required=True)
@@ -136,17 +137,16 @@ def build_parser() -> _Parser:
     g.add_argument("--abs", dest="absolute", action="store_true",
                    help="integrate prod |x_j|^a_j")
 
-    p = subs.add_parser("mu-power", parents=[check], help="polar-radius power integral over S^D")
-    p.add_argument("--D", type=int, required=True)
+    p = subs.add_parser("mu-power", parents=[check, dim],
+                        help="polar-radius power integral over S^D")
     p.add_argument("--alpha", action="append", metavar="A[,A...]")
 
-    p = subs.add_parser("reduce", parents=[out], help="check the sphere-within-a-sphere reduction")
-    p.add_argument("--D", type=int, required=True)
+    p = subs.add_parser("reduce", parents=[out, dim],
+                        help="check the sphere-within-a-sphere reduction")
     p.add_argument("--alpha", action="append", metavar="A[,A...]")
 
-    p = subs.add_parser("fluid", parents=[check],
+    p = subs.add_parser("fluid", parents=[check, dim],
                         help="integral of the Lorentz factor power gamma^(D+1)")
-    p.add_argument("--D", type=int, required=True)
     p.add_argument("--omega", action="append", metavar="W[,W...]",
                    help="one angular velocity per rotation circle")
     p.add_argument("--series", action="store_true", help="also evaluate the truncated series")
@@ -157,8 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--file", required=True, help="one monomial per line: coeff e1 ... e_(n+1)")
 
-    p = subs.add_parser("sample", parents=[out], help="dump uniform samples on S^D")
-    p.add_argument("--D", type=int, required=True)
+    p = subs.add_parser("sample", parents=[out, dim], help="dump uniform samples on S^D")
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--count", type=_bounded(int, 1), default=10)
     return parser

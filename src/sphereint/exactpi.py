@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -137,13 +138,17 @@ class PiRational(_Frozen):
     def __str__(self) -> str:
         if self.q == 0:
             return "0"
+        # Decimal renders an int of any length exactly; str(Fraction) refuses
+        # past 4300 digits, the limit parse_polynomial relies on
+        num, den = (str(Decimal(i)) for i in self.q.as_integer_ratio())
+        q = num if den == "1" else f"{num}/{den}"
         if self.m == 0:
-            return str(self.q)
+            return q
         if self.m % 2 == 0:
             power = str(self.m // 2)
         else:
             power = f"({self.m}/2)"
-        return f"{self.q} * pi^{power}"
+        return f"{q} * pi^{power}"
 
 
 # Mantissa width of the fixed-point sqrt(pi) and of its powers in to_float.

@@ -71,14 +71,13 @@ def fluid_closed(params: FluidParams) -> float:
     return to_float(sphere_volume(params.D)) / denom
 
 
-class SeriesResult(namedtuple(
-        "SeriesResult", "value terms_used last_term_magnitude truncation_order")):
+class SeriesResult(namedtuple("SeriesResult", "value terms_used last_term_magnitude")):
     """Truncated series value plus convergence bookkeeping.
 
-    terms_used counts the shells summed, truncation_order + 1.
-    last_term_magnitude is the contribution of the boundary shell (total
-    order k = truncation_order); partial sums are monotone non-decreasing
-    in the truncation order since every term is non-negative.
+    terms_used counts the shells summed, k = 0..K for truncation order K,
+    so it is K + 1.  last_term_magnitude is the contribution of the
+    boundary shell k = K; partial sums are monotone non-decreasing in K
+    since every term is non-negative.
     """
 
     __slots__ = ()
@@ -133,7 +132,6 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
         value=total,
         terms_used=K + 1,
         last_term_magnitude=volume * h[K],
-        truncation_order=K,
     )
 
 

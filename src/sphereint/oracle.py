@@ -190,14 +190,6 @@ def mc_integrate(
 
 
 @lru_cache(maxsize=None)
-def _leggauss(npoints: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only: every dimension shares them."""
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=None)
 def _axis_data(D: int, npoints: int):
     """Per-axis nodes and weights for the nested-angle chart of the mu sphere.
 
@@ -222,11 +214,13 @@ def _axis_data(D: int, npoints: int):
     s^(3a+2) under the substitution, regular enough for fast Gauss-Legendre
     convergence even for the a in (0, 1) that real exponents down to -1
     produce after the mu_j measure shift; integer-exponent integrands stay
-    analytic.  The table is cached per (D, npoints), so its arrays are
-    read-only.
+    analytic.  The table is the quadrature's one cache, keyed by
+    (D, npoints), so its arrays are read-only.  It builds its own
+    Gauss-Legendre rule: a run's two passes differ in npoints, so a rule
+    cached per npoints alone would not be reused within a run.
     """
     n = D // 2
-    x, w = _leggauss(npoints)
+    x, w = np.polynomial.legendre.leggauss(npoints)
     s = 0.5 * (x + 1.0)
     # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
     # or theta would leave its axis and cos(theta) turn negative

@@ -72,6 +72,13 @@ def test_rendering():
     assert str(PiRational(Fraction(0), 6)) == "0"
 
 
+def test_rendering_has_no_digit_limit():
+    # str(int) refuses past 4300 digits; a coefficient prints every digit
+    text = str(PiRational(Fraction(10**5000 + 1, 3), 2))
+    assert text == "1" + "0" * 4999 + "1/3 * pi^1"
+    assert str(PiRational(Fraction(-1, 10**5000))) == "-1/1" + "0" * 5000
+
+
 def test_zero_canonicalizes_pi_power():
     assert PiRational(Fraction(0), 6) == PiRational(Fraction(0), 0)
     assert PiRational(Fraction(0), 6).m == 0

@@ -99,8 +99,8 @@ def test_constructors_keep_their_signatures_and_messages():
 
 
 @pytest.mark.parametrize("cls, fields, text", [
-    (SeriesResult, dict(value=1.5, terms_used=4, last_term_magnitude=0.25, truncation_order=3),
-     "SeriesResult(value=1.5, terms_used=4, last_term_magnitude=0.25, truncation_order=3)"),
+    (SeriesResult, dict(value=1.5, terms_used=4, last_term_magnitude=0.25),
+     "SeriesResult(value=1.5, terms_used=4, last_term_magnitude=0.25)"),
     (OracleEstimate, dict(value=1.0, error=0.5, samples_or_nodes=10),
      "OracleEstimate(value=1.0, error=0.5, samples_or_nodes=10)"),
 ])
