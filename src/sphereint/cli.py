@@ -8,15 +8,8 @@ single JSON object with a fixed field set:
 
 Keys are always present, null when not applicable.  Exit codes: 0 success,
 1 usage error, 2 domain error, 3 oracle disagreement under --verify.
-Usage errors are refused before any integration runs: a missing, unknown
-or conflicting flag, a flag value out of range (--samples, --count and
---digits >= 1, --nodes >= 8, --seed and --kmax >= 0, --sigma finite and
-> 0), a --kmax past 1000, a Monte Carlo --samples with samples * (D+1)
-past 10^8 coordinates (samples * (n+1) * terms for integrate-poly), a
---nodes past the quadrature budget, a sample --count with count * (D+1)
-past 2^20 coordinates, an integer exponent or D whose exact Gamma
-argument is past 25000, and an unreadable or malformed polynomial file
-(a coefficient whose decimal exponent is past +-4300 among them).
+Every input limit is refused before any integration runs; README's
+"Limits" table lists each one with the constant that holds it.
 --verify is a domain error (exit 2) on the n = 0 sphere, and --oracle quad
 is one for integrate-poly and odd signed dirichlet exponents, whose
 integrands are not radii-only.
@@ -31,15 +24,9 @@ import sys
 from fractions import Fraction
 
 from .exactpi import BudgetError, DomainError, PiRational, to_float
-from .integrals import (
-    _check_D,
-    dirichlet_abs,
-    dirichlet_signed,
-    mu_power_integral,
-    poly_integrate,
-    reduction_rhs,
-    sphere_volume,
-)
+from .integrals import (_FLOAT_MAX_REL_ERR, _MIN_QUAD_NODES, _check_D, _check_quad,
+                        dirichlet_abs, dirichlet_signed, mu_power_integral, poly_integrate,
+                        reduction_rhs, sphere_volume)
 
 
 def _oracle():
@@ -119,7 +106,7 @@ def build_parser() -> _Parser:
     check.add_argument("--oracle", choices=("mc", "quad"), default="mc")
     check.add_argument("--seed", type=_bounded(int, 0), default=0)
     check.add_argument("--samples", type=_bounded(int, 1), default=100_000)
-    check.add_argument("--nodes", type=_bounded(int, 8), default=32,
+    check.add_argument("--nodes", type=_bounded(int, _MIN_QUAD_NODES), default=32,
                        help="quadrature nodes per axis")
     check.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
                        help="MC disagreement threshold")
@@ -209,10 +196,14 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{min(digits, 767)}g}"
 
 
+# a relative gap at rounding level: below it, two doubles agree
+_ROUNDOFF = 1e-12
+
+
 def _sigma_of(diff: float, se: float, scale: float) -> float:
     # an error at rounding level (a constant integrand) measures no spread:
     # dividing a rounding gap by it would read as a disagreement
-    tol = 1e-12 * abs(scale)
+    tol = _ROUNDOFF * abs(scale)
     if se > tol:
         return diff / se
     return 0.0 if diff <= tol else math.inf
@@ -226,8 +217,8 @@ def _report(operation, inputs, closed=None, decimal=None, oracle_value=None,
         "exact": str(closed) if isinstance(closed, PiRational) else None,
         "decimal": decimal,
         "oracle_value": oracle_value,
-        "oracle_error": oracle_error,
-        # JSON has no Infinity, so a check that failed with a zero error says null
+        # JSON has no Infinity: an unbounded error and an infinite sigma say null
+        "oracle_error": oracle_error if oracle_error != math.inf else None,
         "agreement_sigma": agreement_sigma if agreement_sigma != math.inf else None,
         "status": status,
     }
@@ -286,6 +277,8 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
             f"--samples {args.samples} on S^{D} is past the Monte Carlo budget: "
             f"{work} may be at most {_MAX_MC_VALUES} coordinates"
         )
+    if args.oracle == "quad":
+        _check_quad(quad[0], args.nodes)  # before numpy loads
     inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
     if quad:
         inputs["nodes"] = args.nodes
@@ -343,6 +336,12 @@ def _mu_power(args) -> int:
                    args.D, (args.D, lambda mus: _oracle().mu_power_values(mus, alphas), 1.0))
 
 
+# Monte Carlo on gamma^(D+1) <= F = (1 - max w^2)^(-(D+1)/2): as the mean is
+# >= 1, its relative standard error is at most sqrt((F - 1) / samples), and
+# past this bound the samples rarely reach the peak that holds the mass
+_MAX_FLUID_MC_REL_ERR = 0.1
+
+
 def _fluid(args) -> int:
     from .fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 
@@ -354,16 +353,31 @@ def _fluid(args) -> int:
         raise _UsageError("--series and --verify are separate checks; pick one per run")
     inputs = {"D": args.D, "omega": omegas}
     if not args.series:
+        if args.verify and args.oracle == "mc":
+            # F - 1 > tolerance^2 * samples, in logs: F can pass the double range
+            log_f = -0.5 * (args.D + 1) * math.log1p(-max(w * w for w in omegas))
+            if log_f > math.log1p(_MAX_FLUID_MC_REL_ERR ** 2 * args.samples):
+                err = math.sqrt(math.expm1(log_f) / args.samples) if log_f < 709 else math.inf
+                raise DomainError(
+                    f"near light speed, Monte Carlo's relative error may reach {err:.3g} "
+                    f"at --samples {args.samples}, past {_MAX_FLUID_MC_REL_ERR:g}; "
+                    "verify with --oracle quad"
+                )
         return _closed(args, inputs, closed, args.D,
                        (args.D, lambda mus: gamma_power_values(mus, params), 1.0))
     res = fluid_series(params, args.kmax)
     inputs.update(oracle="series", kmax=args.kmax)
-    gap = abs(res.value - closed) / abs(closed)
+    # the partial sums rise to the closed value, by at most the tail bound
+    gap, tol = closed - res.value, _ROUNDOFF * closed
+    sigma = gap / (res.tail_bound + tol) if gap >= 0 else -gap / tol
+    status = "ok" if sigma <= 1.0 else "disagree"
+    tail = "unbounded" if res.tail_bound == math.inf else f"{res.tail_bound:.3g}"
     lines = [_fmt(closed, args.digits),
              f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
              f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
-             f"relative gap = {gap:.3g}"]
-    return _write(args, inputs, closed, closed, lines, res.value, res.last_term_magnitude, gap)
+             f"tail bound = {tail}", f"relative gap = {abs(gap) / closed:.3g}",
+             f"agreement sigma = {sigma:.3g}", f"status = {status}"]
+    return _write(args, inputs, closed, closed, lines, res.value, res.tail_bound, sigma, status)
 
 
 def _integrate_poly(args) -> int:
@@ -391,7 +405,7 @@ def _reduce(args) -> int:
         note = "exact" if agree else "MISMATCH"
     else:
         sig = abs(decimal - reduced_decimal) / max(abs(decimal), 1e-300)
-        agree = sig <= 1e-10
+        agree = sig <= _FLOAT_MAX_REL_ERR
         note = f"relative gap {sig:.3g}"
     status = "ok" if agree else "disagree"
     lines = [f"direct:  {headline}", f"reduced: {reduced_headline}",
@@ -407,15 +421,22 @@ _SAMPLE_BLOCK = 4096  # rows formatted per write
 
 
 def _sample_blocks(D, seed, count):
-    """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held."""
+    """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held.
+
+    phi_i = atan2(x_{2i}, x_{2i-1}) mod 2 pi, from libm per value: numpy's
+    arctan2 picks its SIMD kernel by CPU, and its bits move with it.
+    """
     oracle = _oracle()
+    k = (D + 1) // 2
     # the private chunk stream: a public streaming API would be one more name for one caller
     for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count)):
         batch = oracle.PointBatch(D, xs)
         for i in range(0, len(batch), _SAMPLE_BLOCK):
             rows = slice(i, i + _SAMPLE_BLOCK)
-            yield zip(batch.xs[rows].tolist(), batch.mus[rows].tolist(),
-                      batch.phis[rows].tolist())
+            pairs = xs[rows, : 2 * k].ravel().tolist()  # x1, y1, x2, y2, ... row by row
+            phis = [math.atan2(y, x) % math.tau for x, y in zip(pairs[0::2], pairs[1::2])]
+            yield zip(xs[rows].tolist(), batch.mus[rows].tolist(),
+                      (phis[j : j + k] for j in range(0, len(phis), k)))
 
 
 def _sample(args) -> int:

@@ -23,7 +23,7 @@ from .integrals import _check_D, mu_power_float, sphere_volume
 _SERIES_W2_LIMIT = 0.99
 # fluid_series's one work cap, on the truncation order K.  V_D is computed
 # first and leaves the double range past D = 437, so r <= 219 circles and
-# the recurrence does at most 219,000 multiply-adds.  With w^2 <= 0.99,
+# the recurrence does at most 219 * 1001 multiply-adds.  With w^2 <= 0.99,
 # h_k <= C(k + r - 1, k) 0.99^k, about 10^248 at r = 219, k = 1000: finite.
 _SERIES_MAX_ORDER = 1000
 
@@ -71,13 +71,16 @@ def fluid_closed(params: FluidParams) -> float:
     return to_float(sphere_volume(params.D)) / denom
 
 
-class SeriesResult(namedtuple("SeriesResult", "value terms_used last_term_magnitude")):
+class SeriesResult(namedtuple("SeriesResult", "value terms_used last_term_magnitude tail_bound")):
     """Truncated series value plus convergence bookkeeping.
 
     terms_used counts the shells summed, k = 0..K for truncation order K,
     so it is K + 1.  last_term_magnitude is the contribution of the
     boundary shell k = K; partial sums are monotone non-decreasing in K
-    since every term is non-negative.
+    since every term is non-negative.  tail_bound bounds the shells past
+    K, V_D h_K q / (1 - q) with q = h_(K+1) / h_K, or is inf when q >= 1:
+    h_k is log-concave in k (Hoggar, J. Combin. Theory B 16, 1974), so no
+    later shell ratio exceeds q.
     """
 
     __slots__ = ()
@@ -94,15 +97,18 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     with h_k the complete homogeneous symmetric polynomial, built by the
     recurrence h_k += w_j^2 h_(k-1) one circle at a time.  Truncation is
     by total order: shells k = 0..truncation_order, summed in ascending k,
-    so the reduction order is deterministic.
+    so the reduction order is deterministic.  One more recurrence step
+    gives h_(K+1) for the tail bound; it uses neither prod (1 - w_j^2) nor
+    fluid_closed.
 
-    Refuses when max w_j^2 > 0.99: convergence goes as (max w_j^2)^k, so
-    the shell count needed there is enormous; use fluid_closed instead.
-    Refuses up front, with BudgetError (a ValueError), a truncation order
-    above 1000.  V_D comes from the log-Gamma float kernel, not from
-    the exact route fluid_closed takes, so a wrong V_D in either shows as
-    a gap between the two.  Raises OverflowError past D = 437, where V_D
-    leaves the double range, before the recurrence runs.
+    Refuses max w_j^2 past _SERIES_W2_LIMIT: convergence goes as
+    (max w_j^2)^k, so the shell count needed there is enormous; use
+    fluid_closed instead.  Refuses up front, with BudgetError (a
+    ValueError), a truncation order past _SERIES_MAX_ORDER.  V_D comes
+    from the log-Gamma float kernel, not from the exact route fluid_closed
+    takes, so a wrong V_D in either shows as a gap between the two.
+    Raises OverflowError past D = 437, where V_D leaves the double range,
+    before the recurrence runs.
     """
     if isinstance(truncation_order, bool) or not isinstance(truncation_order, int):
         raise TypeError("truncation_order must be an integer")
@@ -121,17 +127,19 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "fluid_closed instead"
         )
     volume = mu_power_float(params.D, (0,) * len(params.omegas))
-    h = [1.0] + [0.0] * K  # h[k] = h_k of the circles folded in so far
+    h = [1.0] + [0.0] * (K + 1)  # h[k] = h_k of the circles folded in so far
     for x in w2:
-        for k in range(1, K + 1):
+        for k in range(1, K + 2):
             h[k] += x * h[k - 1]
     total = 0.0
-    for hk in h:
+    for hk in h[: K + 1]:
         total += volume * hk
+    q = h[K + 1] / h[K] if h[K] else 0.0  # h_K = 0 only when every w is 0
     return SeriesResult(
         value=total,
         terms_used=K + 1,
         last_term_magnitude=volume * h[K],
+        tail_bound=volume * h[K] * q / (1.0 - q) if q < 1.0 else math.inf,
     )
 
 

@@ -25,7 +25,8 @@ the monomial integrals over S^n are (0, 1, alphas, n+1), and the
 polar-radius powers over S^D are (D+1, 2, alphas, D+1).  Two kernels
 evaluate it and share no code: _gamma_quotient exactly, and
 _lgamma_quotient from log-Gamma floats.  The exact kernel refuses, with
-BudgetError, a Gamma argument above 25000 before it builds any factorial.
+BudgetError, a Gamma argument past exactpi._MAX_GAMMA_ARG before it
+builds any factorial.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .exactpi import DomainError, PiRational, gamma_half
+from .exactpi import BudgetError, DomainError, PiRational, gamma_half
 
 Number = int | float
 
@@ -55,6 +56,36 @@ def _check_D(D: int, low: int = 1) -> int:
         raise TypeError(f"sphere dimension must be an integer, got {D!r}")
     if D < low:
         raise DomainError(f"sphere dimension must be >= {low}, got {D}")
+    return D
+
+
+_MIN_QUAD_NODES = 8  # below it, |I(2N) - I(N)| can miss the error of I(2N)
+_MAX_QUAD_D = 9  # quadrature dimension is n, so this caps the grid at 4 axes
+# refined-grid budget: leggauss solves a 2N x 2N eigenproblem per axis, and
+# the grid holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
+_MAX_QUAD_AXIS_NODES = 2048
+_MAX_QUAD_GRID_NODES = 1 << 24
+
+
+def _check_quad(D: int, nodes_per_axis: int) -> int:
+    """Validate quad_integrate's arguments without numpy, so the CLI refuses first; returns D."""
+    D = _check_D(D)
+    if D > _MAX_QUAD_D:
+        raise DomainError(
+            f"quadrature grid supports D <= {_MAX_QUAD_D}, got D={D}; "
+            "use mc_integrate for higher dimensions"
+        )
+    if isinstance(nodes_per_axis, bool) or not isinstance(nodes_per_axis, int):
+        raise TypeError("nodes_per_axis must be an integer")
+    if nodes_per_axis < _MIN_QUAD_NODES:
+        raise ValueError(f"nodes_per_axis must be >= {_MIN_QUAD_NODES}")
+    refined, n = 2 * nodes_per_axis, D // 2
+    if refined > _MAX_QUAD_AXIS_NODES or refined ** n > _MAX_QUAD_GRID_NODES:
+        raise BudgetError(
+            f"nodes_per_axis {nodes_per_axis} on S^{D} is past the quadrature budget: "
+            f"its refined grid of {refined}^{n} nodes may have at most "
+            f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"
+        )
     return D
 
 
@@ -99,16 +130,14 @@ def _gamma_quotient(m: int, c: int, alphas: Sequence[int], base: int) -> PiRatio
     return out / denom
 
 
-def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> float:
-    """The float twin of _gamma_quotient, from log-Gamma terms alone.
+def _lgamma_log(m: int, c: int, alphas: Sequence[Number], base: int) -> tuple:
+    """The log of the _gamma_quotient value from log-Gamma terms, and its relative error bound.
 
-    It shares no code with the exact kernel, so the two check each other.
-    Each log-Gamma term carries rounding of order 2^-52 |term|, and exp
-    turns the log's absolute error into relative error; huge exponents
-    make the terms cancel, so a bound past _FLOAT_MAX_REL_ERR raises
-    DomainError.  Outside the double range this raises OverflowError:
-    math.exp does above it; below it, where exp would return a subnormal
-    or 0.0, this raises as the exact path's to_float does.
+    exp turns the log's absolute error into the value's relative error.
+    Each of the k nonzero terms carries a rounding, and the left-to-right
+    sum k - 1 more (a zero, log Gamma(1) or log Gamma(2), adds exactly), so
+    the bound is (k/2) eps sum |term| + eps, the last eps for exp's own
+    rounding.  Huge exponents make the terms cancel, and the bound grows.
     """
     terms = [math.log(2.0), 0.5 * m * math.log(math.pi)]
     terms += [math.lgamma((c + float(a)) / 2.0) for a in alphas]  # int a rounds before c is added
@@ -116,7 +145,20 @@ def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> flo
     log = 0.0
     for t in terms:  # left to right, not fsum, so every float result keeps its bits
         log += t
-    bound = sys.float_info.epsilon * math.fsum(map(abs, terms))
+    eps = sys.float_info.epsilon
+    return log, 0.5 * sum(t != 0.0 for t in terms) * eps * math.fsum(map(abs, terms)) + eps
+
+
+def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> float:
+    """The float twin of _gamma_quotient, from log-Gamma terms alone.
+
+    It shares no code with the exact kernel, so the two check each other.
+    A relative error bound past _FLOAT_MAX_REL_ERR raises DomainError.
+    Outside the double range this raises OverflowError: math.exp does
+    above it; below it, where exp would return a subnormal or 0.0, this
+    raises as the exact path's to_float does.
+    """
+    log, bound = _lgamma_log(m, c, alphas, base)
     if bound > _FLOAT_MAX_REL_ERR:
         raise DomainError(
             f"the floating path's log-Gamma terms cancel: its relative error "
@@ -188,7 +230,7 @@ def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
 
     Kept independent of the exact path so the two can check each other.
     Raises DomainError for exponents so large that the log-Gamma terms
-    cancel past a 1e-10 relative error.
+    cancel past a relative error of _FLOAT_MAX_REL_ERR.
     """
     n = _check_D(n, 0)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs_float")
@@ -212,7 +254,7 @@ def mu_power_float(D: int, alphas: Sequence[Number]) -> float:
     """Floating-point path for mu_power_integral, via log-Gamma only.
 
     Raises DomainError for exponents so large that the log-Gamma terms
-    cancel past a 1e-10 relative error.
+    cancel past a relative error of _FLOAT_MAX_REL_ERR.
     """
     D = _check_D(D)
     alphas = _check_exponents(alphas, (D + 1) // 2, -1, "mu_power_float")

@@ -27,8 +27,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exactpi import BudgetError, DomainError, _Frozen
-from .integrals import _check_D
+from .exactpi import _Frozen
+from .integrals import _check_D, _check_quad
 
 _CHUNK = 1 << 17
 # coordinates per MC chunk (16 MB of doubles): past D = 15 a chunk holds
@@ -36,12 +36,6 @@ _CHUNK = 1 << 17
 _CHUNK_VALUES = 1 << 21
 # grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2
 _TILE_ELEMS = 1 << 14
-_MIN_QUAD_NODES = 8  # below it, |I(2N) - I(N)| can miss the error of I(2N)
-_MAX_QUAD_D = 9  # quadrature dimension is n, so this caps the grid at 4 axes
-# refined-grid budget: leggauss solves a 2N x 2N eigenproblem per axis, and
-# the grid holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
-_MAX_QUAD_AXIS_NODES = 2048
-_MAX_QUAD_GRID_NODES = 1 << 24
 
 
 class MCConfig(_Frozen):
@@ -59,13 +53,13 @@ class MCConfig(_Frozen):
 
 
 class PointBatch:
-    """Vectorized sample block on S^D for the int D; rows of xs/mus/phis line up.
+    """Vectorized sample block on S^D for the int D; rows of xs and mus line up.
 
-    The chart is x_{2i-1} = mu_i cos(phi_i), x_{2i} = mu_i sin(phi_i) with
-    phi_i in [0, 2 pi), plus for even D the sign-carrying x_{2n+1} = mu_{n+1}.
-    Only xs is stored: mus and phis are computed from xs on first access
-    and cached, so an integrand that reads xs alone never pays for them.
-    A pair radius is sqrt(x*x + y*y), within 1 ulp of hypot; unit rows cannot overflow.
+    The chart is x_{2i-1} = mu_i cos(phi_i), x_{2i} = mu_i sin(phi_i), plus
+    for even D the sign-carrying x_{2n+1} = mu_{n+1}.  Only xs is stored:
+    mus is computed from xs on first access and cached, so an integrand
+    that reads xs alone never pays for it.  A pair radius is
+    sqrt(x*x + y*y), within 1 ulp of hypot; unit rows cannot overflow.
     """
 
     def __init__(self, D: int, xs: np.ndarray):
@@ -88,13 +82,6 @@ class PointBatch:
         if self.D % 2 == 0:
             mus[:, k] = xs[:, self.D]
         return mus
-
-    @cached_property
-    def phis(self) -> np.ndarray:
-        k = (self.D + 1) // 2
-        return np.mod(
-            np.arctan2(self.xs[:, 1 : 2 * k : 2], self.xs[:, 0 : 2 * k : 2]), 2.0 * math.pi
-        )
 
 
 class IntegrandError(ValueError):
@@ -318,34 +305,17 @@ def quad_integrate(
     float per row.  The array is one tile of the grid, M <= 2^14 rows, and
     a view of a buffer that the next tile overwrites, so an f that keeps
     it must copy it.  The circle angles are integrated analytically,
-    leaving an n-dimensional tensor-product Gauss-Legendre grid; the cap
-    D <= 9 keeps that grid at most four axes.  The estimate is the refined
+    leaving an n-dimensional tensor-product Gauss-Legendre grid, which
+    the cap on D keeps to at most four axes.  The estimate is the refined
     pass I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
     converged result never reports a zero bound.  Each pass sums its grid
     row by row in numpy, in an order set by the grid alone, so the bits do
     not depend on the tile size or the BLAS thread count.
 
-    Refuses nodes_per_axis < 8, below which that bound can miss the error
-    of I(2N), and up front, with BudgetError (a ValueError), a refined grid
-    past the budget: 2N <= 2048 nodes per axis and (2N)^n <= 2^24 in all.
+    Its argument limits are integrals._check_quad's, checked up front.
     """
-    D = _check_D(D)
-    if D > _MAX_QUAD_D:
-        raise DomainError(
-            f"quadrature grid supports D <= {_MAX_QUAD_D}, got D={D}; "
-            "use mc_integrate for higher dimensions"
-        )
-    if isinstance(nodes_per_axis, bool) or not isinstance(nodes_per_axis, int):
-        raise TypeError("nodes_per_axis must be an integer")
-    if nodes_per_axis < _MIN_QUAD_NODES:
-        raise ValueError(f"nodes_per_axis must be >= {_MIN_QUAD_NODES}")
+    D = _check_quad(D, nodes_per_axis)
     refined, n = 2 * nodes_per_axis, D // 2
-    if refined > _MAX_QUAD_AXIS_NODES or refined ** n > _MAX_QUAD_GRID_NODES:
-        raise BudgetError(
-            f"nodes_per_axis {nodes_per_axis} on S^{D} is past the quadrature budget: "
-            f"its refined grid of {refined}^{n} nodes may have at most "
-            f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"
-        )
     coarse = _quad_tensor(D, f, nodes_per_axis)
     fine = _quad_tensor(D, f, refined)
     bound = abs(fine - coarse) + 1e-13 * abs(fine)

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -153,13 +154,14 @@ def test_json_fluid_series_routes_through_oracle_fields(capsys):
     assert report["inputs"]["oracle"] == "series"
     assert report["inputs"]["kmax"] == 30
     assert report["oracle_value"] == pytest.approx(report["decimal"], rel=1e-8)
-    assert report["agreement_sigma"] <= 1e-8  # relative gap
+    assert 0 <= report["oracle_error"] <= 1e-20  # the tail bound after 30 shells
+    assert report["agreement_sigma"] <= 1.0  # the gap in units of tail bound + 1e-12 closed
     assert report["status"] == "ok"
 
 
 def test_fluid_series_does_not_share_the_closed_volume(capsys, monkeypatch):
     # the series takes V_D from its own route, so a wrong closed-form V_D
-    # shows as a gap instead of cancelling out of it
+    # shows as a gap past the tail bound instead of cancelling out of it
     from sphereint import fluid
 
     real = fluid.sphere_volume
@@ -168,8 +170,47 @@ def test_fluid_series_does_not_share_the_closed_volume(capsys, monkeypatch):
     code, report = run_json(
         ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series", "--kmax", "60"], capsys
     )
+    assert code == 3
+    assert report["status"] == "disagree" and report["agreement_sigma"] > 1e4
+
+
+@pytest.mark.parametrize("D", [1, 2, 5])
+def test_fluid_series_with_every_omega_zero_agrees_at_every_order(D, capsys):
+    # every shell past k = 0 is zero, so the tail bound is 0 and the gap is rounding
+    omega = ",".join(["0"] * ((D + 1) // 2))
+    for K in [*range(12), 1000]:
+        code, report = run_json(["fluid", "--D", str(D), "--omega", omega, "--series",
+                                 "--kmax", str(K)], capsys)
+        assert (code, report["status"], report["oracle_error"]) == (0, "ok", 0.0), K
+
+
+def test_fluid_series_without_a_tail_bound_checks_the_lower_side(capsys):
+    # 5 circles at w = 0.9 and 3 shells: the shell ratio q = h_4 / h_3 is >= 1
+    argv = ["fluid", "--D", "9", "--omega", "0.9,0.9,0.9,0.9,0.9", "--series", "--kmax", "3"]
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    assert report["agreement_sigma"] >= 1e-7
+    assert "tail bound = unbounded\n" in out and out.endswith("status = ok\n")
+    code, report = run_json(argv, capsys)
+    assert code == 0 and report["oracle_error"] is None  # strict JSON has no Infinity
+
+
+def test_fluid_mc_near_light_speed_never_disagrees(capsys):
+    # sampling misses the peak of gamma^(D+1) near w = 1, and the sample
+    # error then understates the true one; the CLI refuses (exit 2) where
+    # the variance bound sqrt((F - 1) / samples) is past its tolerance, so
+    # a correct closed form is never reported as a disagreement
+    codes = {}
+    for D in range(2, 10):
+        r = (D + 1) // 2
+        for e in (0.5, 0.2, 0.1, 0.03, 0.01, 1e-3, 1e-5):  # 1 - w^2
+            w = repr(math.sqrt(1.0 - e))
+            for omega in ([w] + ["0"] * (r - 1), [w] * r):
+                for seed in ("0", "1"):
+                    argv = ["fluid", "--D", str(D), "--omega", ",".join(omega), "--verify",
+                            "--seed", seed, "--samples", "20000"]
+                    codes.setdefault(run(argv, capsys)[0], []).append(argv)
+    assert set(codes) == {0, 2}, codes.get(3)
+    assert len(codes[0]) >= 50 and len(codes[2]) >= 50
 
 
 def test_json_sample_points(capsys):
@@ -178,6 +219,18 @@ def test_json_sample_points(capsys):
     assert len(report["points"]) == 4
     pt = report["points"][0]
     assert len(pt["xs"]) == 3 and len(pt["mus"]) == 2 and len(pt["phis"]) == 1
+    # the angles chart the points: x_(2i-1) = mu_i cos(phi_i), x_(2i) = mu_i sin(phi_i),
+    # with phi_i in [0, 2 pi)
+    for D in (1, 2, 3, 6):
+        code, report = run_json(["sample", "--D", str(D), "--seed", "5", "--count", "500"],
+                                capsys)
+        assert code == 0
+        for pt in report["points"]:
+            assert len(pt["phis"]) == (D + 1) // 2
+            for i, phi in enumerate(pt["phis"]):
+                assert 0.0 <= phi < 2 * math.pi
+                assert abs(pt["xs"][2 * i] - pt["mus"][i] * math.cos(phi)) <= 1e-15
+                assert abs(pt["xs"][2 * i + 1] - pt["mus"][i] * math.sin(phi)) <= 1e-15
 
 
 @pytest.mark.parametrize("D", [2, 3])
@@ -190,7 +243,9 @@ def test_streamed_sample_matches_the_whole_batch(D, capsys, monkeypatch):
     monkeypatch.setattr(sphereint.cli, "_SAMPLE_BLOCK", 5)
     count = 3 * 16 + 7
     batch = oracle.sample_batch(D, oracle.MCConfig(seed=11, samples=count))
-    rows = list(zip(batch.xs.tolist(), batch.mus.tolist(), batch.phis.tolist()))
+    phis = [[math.atan2(x[2 * i + 1], x[2 * i]) % (2 * math.pi) for i in range((D + 1) // 2)]
+            for x in batch.xs.tolist()]
+    rows = list(zip(batch.xs.tolist(), batch.mus.tolist(), phis))
     argv = ["sample", "--D", str(D), "--seed", "11", "--count", str(count)]
 
     code, out, err = run(argv + ["--json"], capsys)
@@ -356,6 +411,33 @@ def test_exit_usage_errors(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+def _readme_limits():
+    """(constant, value text) per row of README's "Limits" table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")]
+    assert [c.strip() for c in rows[0]] == ["limit", "constant", "value", "exit code",
+                                           "slowest accepted call"]
+    return [(constant.strip().strip("`"), value.strip()) for _, constant, value, *_ in rows[1:]]
+
+
+def test_readme_limits_table_matches_the_constants():
+    # each limit's value is written once, in its constant; the table must say the same
+    import importlib
+
+    rows = _readme_limits()
+    for constant, text in rows:
+        module, name = constant.split(".")
+        base, _, power = text.partition("^")
+        value = int(base) ** int(power) if power else float(text)
+        assert getattr(importlib.import_module(f"sphereint.{module}"), name) == value, constant
+    # and every limit constant of the numpy-free modules has its row
+    names = {name for module in ("cli", "exactpi", "fluid", "integrals")
+             for name, value in vars(importlib.import_module(f"sphereint.{module}")).items()
+             if re.fullmatch(r"_\w*(MAX|MIN|LIMIT)\w*", name) and isinstance(value, (int, float))}
+    assert sorted(c.split(".")[1] for c, _ in rows) == sorted(names)
+
+
 def test_mc_samples_budget(tmp_path, capsys, monkeypatch):
     from sphereint import oracle
 
@@ -392,9 +474,9 @@ def test_mc_samples_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_nodes_floor_is_the_oracles(capsys):
-    # build_parser writes the floor as a literal so that parsing imports no
-    # numpy; it must refuse exactly what quad_integrate refuses
-    from sphereint.oracle import _MIN_QUAD_NODES
+    # build_parser reads the floor that quad_integrate checks, from the
+    # numpy-free integrals module; it must refuse exactly what the oracle does
+    from sphereint.integrals import _MIN_QUAD_NODES
 
     argv = ["volume", "--D", "4", "--verify", "--oracle", "quad", "--nodes"]
     below = str(_MIN_QUAD_NODES - 1)
@@ -564,15 +646,20 @@ def tracked_imports(tmp_path_factory):
         ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--oracle", "quad"],
         ["sample", "--D", "2", "--count", "3"],
     ]
+    return exact, oracle, _track(exact + oracle)
+
+
+def _track(argvs):
+    """[modules after import sphereint, exit code, modules after the command] per argv."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     log = []
-    for argv in exact + oracle:
+    for argv in argvs:
         r = subprocess.run([sys.executable, "-S", "-c", _TRACK_IMPORTS, json.dumps(argv),
                             json.dumps(sys.path)],
                            capture_output=True, text=True, env={"PYTHONPATH": src})
         assert r.returncode == 0, r.stderr
         log.append(json.loads(r.stdout))
-    return exact, oracle, log
+    return log
 
 
 def test_import_sphereint_loads_no_submodule(tracked_imports):
@@ -587,6 +674,15 @@ def test_exact_commands_do_not_import_numpy(tracked_imports):
     assert numpy[:len(exact) - 1] == [[argv, 0, False] for argv in exact[:-1]]
     assert numpy[len(exact) - 1] == [exact[-1], 2, False]
     assert numpy[len(exact):] == [[argv, 0, True] for argv in oracle]
+
+
+def test_quad_refusals_do_not_import_numpy():
+    # the quadrature's argument limits are checked before the oracle loads
+    refused = [(["volume", "--D", "10", "--verify", "--oracle", "quad"], 2),
+               (["mu-power", "--D", "9", "--alpha", "1,1,1,1,1", "--verify", "--oracle", "quad",
+                 "--nodes", "33"], 1)]
+    log = _track([argv for argv, _ in refused])
+    assert [[code, "numpy" in after] for _, code, after in log] == [[c, False] for _, c in refused]
 
 
 def test_exact_commands_load_no_dataclasses_inspect_or_typing(tracked_imports):

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphereint.exactpi import DomainError, to_float
 from sphereint.fluid import (
@@ -14,7 +16,7 @@ from sphereint.fluid import (
     fluid_series,
     gamma_power_values,
 )
-from sphereint.integrals import sphere_volume, term_integral
+from sphereint.integrals import mu_power_float, sphere_volume, term_integral
 
 
 def test_params_validation():
@@ -140,6 +142,41 @@ def test_series_partial_sums_are_monotone():
         assert res.value <= closed * (1 + 1e-12)
         prev = res.value
     assert res.last_term_magnitude >= 0.0
+
+
+@st.composite
+def _series_cases(draw):
+    D = draw(st.integers(1, 9))
+    # w^2 up to the series limit 0.99, with zeros and near-equal circles among them
+    w = st.one_of(st.just(0.0), st.floats(-0.99498, 0.99498), st.sampled_from([0.3, 0.9, 0.99]))
+    return D, tuple(draw(st.lists(w, min_size=(D + 1) // 2, max_size=(D + 1) // 2))), \
+        draw(st.integers(0, 60))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_series_cases())
+@example((3, (0.3, 0.4), 2))
+@example((9, (0.9, 0.1, 0.1, 0.1, 0.1), 90))
+@example((9, (0.9,) * 5, 3))  # q >= 1: many circles, few shells
+def test_series_tail_bound_is_never_short(case):
+    # the shells past K summed exactly: prod 1/(1 - x_j) - sum_(k<=K) h_k in
+    # Fraction arithmetic, on the rounded x_j = w_j^2 the series uses
+    D, omegas, K = case
+    res = fluid_series(FluidParams(D, omegas), K)
+    xs = [Fraction(w * w) for w in omegas]
+    h = [Fraction(1)] + [Fraction(0)] * K
+    for x in xs:
+        for k in range(1, K + 1):
+            h[k] += x * h[k - 1]
+    tail = math.prod((1 / (1 - x) for x in xs), start=Fraction(1)) - sum(h)
+    assert tail >= 0
+    volume = mu_power_float(D, (0,) * len(omegas))  # the series' own V_D
+    # the bound in doubles may round below the exact one, by far less than
+    # the series verdict's 1e-12 relative tolerance
+    if res.tail_bound != math.inf:
+        assert volume * tail <= Fraction(res.tail_bound) * (1 + Fraction(1, 10**12))
+    if all(w == 0 for w in omegas):
+        assert res.tail_bound == 0.0
 
 
 def test_series_refuses_near_divergence():

@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 from sphereint import oracle
 from sphereint.exactpi import DomainError, PiRational, to_float
 from sphereint.fluid import FluidParams, fluid_closed, gamma_power_values
-from sphereint.integrals import mu_power_float, poly_integrate, sphere_volume
-from sphereint.oracle import (
-    _CHUNK,
+from sphereint.integrals import (
     _MAX_QUAD_AXIS_NODES,
     _MAX_QUAD_GRID_NODES,
     _MIN_QUAD_NODES,
+    mu_power_float,
+    poly_integrate,
+    sphere_volume,
+)
+from sphereint.oracle import (
+    _CHUNK,
     _TILE_ELEMS,
     IntegrandError,
     MCConfig,
@@ -49,26 +53,19 @@ def test_config_validation():
 def test_sampler_chart_invariants(D):
     k = (D + 1) // 2
     batch = sample_batch(D, MCConfig(seed=300 + D, samples=2000))
-    xs, mus, phis = batch.xs, batch.mus, batch.phis
+    xs, mus = batch.xs, batch.mus
     assert xs.shape == (2000, D + 1)
     assert mus.shape == (2000, D // 2 + 1)
-    assert phis.shape == (2000, k)
 
     # unit embedding vector and unit radius vector
     np.testing.assert_allclose(np.sum(xs**2, axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.sum(mus**2, axis=1), 1.0, rtol=0, atol=1e-12)
 
-    # paired radii are non-negative; angles live in [0, 2 pi)
+    # paired radii are non-negative: mu_i is the radius of (x_{2i-1}, x_{2i})
     assert np.all(mus[:, :k] >= 0)
-    assert np.all(phis >= 0) and np.all(phis < 2 * math.pi)
-
-    # chart reconstruction x_{2i-1} = mu_i cos phi_i, x_{2i} = mu_i sin phi_i
     for i in range(k):
         np.testing.assert_allclose(
-            xs[:, 2 * i], mus[:, i] * np.cos(phis[:, i]), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            xs[:, 2 * i + 1], mus[:, i] * np.sin(phis[:, i]), atol=1e-12
+            mus[:, i], np.hypot(xs[:, 2 * i], xs[:, 2 * i + 1]), rtol=0, atol=1e-15
         )
     if D % 2 == 0:
         # the unpaired radius carries the sign of the last coordinate
@@ -150,15 +147,14 @@ def _chart(D, xs):
     mus = np.sqrt(even * even + odd * odd)
     if D % 2 == 0:
         mus = np.column_stack([mus, xs[:, D]])
-    return mus, np.mod(np.arctan2(odd, even), 2.0 * math.pi)
+    return mus
 
 
 @pytest.mark.parametrize("D", [4, 5])
 def test_sample_batch_chart_matches_per_chunk_chart(D):
     batch = sample_batch(D, MCConfig(seed=77, samples=_CHUNK + 5))
     parts = [_chart(D, batch.xs[:_CHUNK]), _chart(D, batch.xs[_CHUNK:])]
-    assert batch.mus.tobytes() == np.concatenate([m for m, _ in parts]).tobytes()
-    assert batch.phis.tobytes() == np.concatenate([p for _, p in parts]).tobytes()
+    assert batch.mus.tobytes() == np.concatenate(parts).tobytes()
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 12, 40])
@@ -226,9 +222,7 @@ def test_mc_xs_only_integrand_charts_nothing():
         return batch.xs[:, 0] ** 2
 
     mc_integrate(4, f, MCConfig(seed=1, samples=1000))
-    assert batches and all(
-        "mus" not in b.__dict__ and "phis" not in b.__dict__ for b in batches
-    )
+    assert batches and all("mus" not in b.__dict__ for b in batches)
 
 
 def test_mc_integrand_error_carries_point():
