@@ -74,11 +74,17 @@ class PointBatch:
         xs, k = self.xs, (self.D + 1) // 2
         mus = np.empty((len(xs), self.D // 2 + 1))
         step = max(1, _TILE_ELEMS // k)  # rows per block; its y*y is the only temporary
+        # at even D the pair radii are k of the k + 1 columns of mus, a
+        # strided out that numpy writes row by row: they go to a contiguous
+        # block first
+        block = np.empty((min(step, len(xs)), k)) if self.D % 2 == 0 else None
         for i in range(0, len(xs), step):
             x, y = xs[i : i + step, 0 : 2 * k : 2], xs[i : i + step, 1 : 2 * k : 2]
-            pair = mus[i : i + step, :k]
+            pair = mus[i : i + step, :k] if block is None else block[: len(x)]
             np.add(np.multiply(x, x, out=pair), y * y, out=pair)
-        np.sqrt(mus[:, :k], out=mus[:, :k])
+            np.sqrt(pair, out=pair)
+            if block is not None:
+                mus[i : i + step, :k] = pair
         if self.D % 2 == 0:
             mus[:, k] = xs[:, self.D]
         return mus
@@ -255,24 +261,26 @@ def _quad_tensor(D: int, f, npoints: int) -> float:
     # chain position c -> mu column: in order for odd D; for even D the
     # sign-carrying position 0 is the last column
     columns = list(range(n + 1)) if D % 2 == 1 else [n] + list(range(n))
-    # row-major template of the inner grid: chain positions 2..n+1 in their
-    # mu columns, each missing the sin(theta_1) factor, and the weight
-    # product over the inner axes, each built row-major one axis at a time;
-    # the cos(theta_1) column is set per tile
-    template = np.zeros((inner_size, n + 1))
+    # the mu columns that carry a sin(theta_1) factor, a contiguous run
+    scaled = slice(1, n + 1) if D % 2 == 1 else slice(0, n)
+    # column-major template of the inner grid, one row per mu column: chain
+    # positions 2..n+1, each missing the sin(theta_1) factor, and the weight
+    # product over the inner axes, each built one axis at a time; the
+    # cos(theta_1) row stays zero and is never read
+    template = np.zeros((n + 1, inner_size))
     prefix = w_inner = np.ones(1)
     for j, (cos, sin, w) in enumerate(inner_axes):
         reps = inner_size // (prefix.size * npoints)
-        template[:, columns[j + 1]] = np.repeat(np.multiply.outer(prefix, cos).ravel(), reps)
+        template[columns[j + 1]] = np.repeat(np.multiply.outer(prefix, cos).ravel(), reps)
         prefix = np.multiply.outer(prefix, sin).ravel()
         w_inner = np.multiply.outer(w_inner, w).ravel()
-    template[:, columns[n]] = prefix
+    template[columns[n]] = prefix
     del prefix  # of the build, the sweep keeps only the template and w_inner
 
     # a tile is whole theta_1 rows of the template, or a slice of one row
     tile_rows = min(npoints, max(1, _TILE_ELEMS // inner_size))
     tile_span = min(inner_size, _TILE_ELEMS)
-    tbuf = np.empty((tile_rows * tile_span, n + 1))
+    tbuf = np.empty((n + 1) * tile_rows * tile_span)
     vbuf = np.empty((tile_rows, inner_size))  # weighted values of the tile's theta_1 rows
     row_sums = np.empty(npoints)
     for i in range(0, npoints, tile_rows):
@@ -280,10 +288,11 @@ def _quad_tensor(D: int, f, npoints: int) -> float:
         rows = vbuf[: i_stop - i]
         for a in range(0, inner_size, tile_span):
             a_stop = min(inner_size, a + tile_span)
-            mus = tbuf[: (i_stop - i) * (a_stop - a)]
-            tile = mus.reshape(i_stop - i, a_stop - a, n + 1)
-            np.multiply(sin0[i:i_stop, None, None], template[a:a_stop], out=tile)
-            np.copyto(tile[..., columns[0]], cos0[i:i_stop, None])
+            tile = tbuf[: (n + 1) * (i_stop - i) * (a_stop - a)]
+            tile = tile.reshape(n + 1, i_stop - i, a_stop - a)
+            np.multiply(sin0[i:i_stop, None], template[scaled, None, a:a_stop], out=tile[scaled])
+            np.copyto(tile[columns[0]], cos0[i:i_stop, None])
+            mus = tile.reshape(n + 1, -1).T  # (M, n+1), each mu column contiguous
             vals = _values(f, mus, mus).reshape(i_stop - i, a_stop - a)
             np.multiply(vals, w_inner[a:a_stop], out=rows[:, a:a_stop])
         # numpy's pairwise sum, not a BLAS dot: a row's sum depends on its
@@ -301,16 +310,17 @@ def quad_integrate(
 ) -> OracleEstimate:
     """Deterministic quadrature of a radii-only integrand over S^D.
 
-    f receives a row-major (M, n+1) array of polar radii and returns one
-    float per row.  The array is one tile of the grid, M <= 2^14 rows, and
-    a view of a buffer that the next tile overwrites, so an f that keeps
-    it must copy it.  The circle angles are integrated analytically,
-    leaving an n-dimensional tensor-product Gauss-Legendre grid, which
-    the cap on D keeps to at most four axes.  The estimate is the refined
-    pass I(2N); error is |I(2N) - I(N)| plus a roundoff floor, so a
-    converged result never reports a zero bound.  Each pass sums its grid
-    row by row in numpy, in an order set by the grid alone, so the bits do
-    not depend on the tile size or the BLAS thread count.
+    f receives an (M, n+1) array of polar radii, each column contiguous
+    (Fortran order), and returns one float per row.  The array is one tile
+    of the grid, M <= 2^14 rows, and a view of a buffer that the next tile
+    overwrites, so an f that keeps it must copy it.  The circle angles are
+    integrated analytically, leaving an n-dimensional tensor-product
+    Gauss-Legendre grid, which the cap on D keeps to at most four axes.
+    The estimate is the refined pass I(2N); error is |I(2N) - I(N)| plus a
+    roundoff floor, so a converged result never reports a zero bound.
+    Each pass sums its grid row by row in numpy, in an order set by the
+    grid alone, so the bits do not depend on the tile size or the BLAS
+    thread count.
 
     Its argument limits are integrals._check_quad's, checked up front.
     """
@@ -360,5 +370,5 @@ def polynomial_values(
 ) -> np.ndarray:
     out = np.zeros(xs.shape[0])
     for exps in sorted(poly):
-        out = out + float(poly[exps]) * monomial_values(xs, tuple(exps))
+        out += float(poly[exps]) * monomial_values(xs, tuple(exps))
     return out

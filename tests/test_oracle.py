@@ -252,12 +252,16 @@ def test_quad_shape_check():
 
 
 def test_quad_constant_matches_volume():
-    for D in (1, 2, 3, 4, 5, 7, 9):
-        est = quad_integrate(D, lambda mus: np.ones(mus.shape[0]), nodes_per_axis=16)
+    # the radii lie on the unit sphere, so the integrand that sums across
+    # the columns of its tile is the constant 1 as well.  At D = 8, 16
+    # nodes per axis leave a 3e-12 error, so every D runs 24
+    for D in range(1, 10):
         truth = to_float(sphere_volume(D))
-        assert est._fields == ("value", "error", "samples_or_nodes")
-        assert est.value == pytest.approx(truth, rel=1e-12)
-        assert abs(est.value - truth) <= est.error
+        for f in (lambda mus: np.ones(mus.shape[0]), lambda mus: (mus * mus).sum(axis=1)):
+            est = quad_integrate(D, f, nodes_per_axis=24)
+            assert est._fields == ("value", "error", "samples_or_nodes")
+            assert est.value == pytest.approx(truth, rel=1e-12)
+            assert abs(est.value - truth) <= est.error
 
 
 def test_quad_known_values():
@@ -300,8 +304,10 @@ def test_quad_cross_checks_mc():
 @pytest.mark.parametrize(
     "kind,D,params,nodes,value,error",
     [
-        # the grid's last bits, pinned: a column-major grid flips both fluid cases
-        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63ddp+5", "0x1.0c96bc36b3f3ep-18"),
+        # the grid's last bits, pinned.  The fluid integrand sums across the
+        # mu columns in a BLAS matvec, whose rounding follows the tile's
+        # memory layout, so a change of layout can move these by an ulp
+        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63dep+5", "0x1.0c96bc3eb3f3ep-18"),
         ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036bcfp+5", "0x1.766c2bbfc657cp-17"),
         # even D: the sign-carrying chain position is the last mu column
         ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f336p-1", "0x1.9feaeca4597cfp-2"),
@@ -385,20 +391,22 @@ def test_quad_pass_matches_a_reference_loop():
         assert oracle._quad_tensor(D, f, 8) == pytest.approx(expected, rel=64 * 2.0**-52, abs=0)
 
 
-def test_quad_integrand_gets_a_row_major_grid():
-    # one tile of at most _TILE_ELEMS rows per call, whether a tile is a
-    # slice of one theta_1 row (D = 9, N = 17) or several whole rows
-    for D, nodes in ((9, 17), (9, 8), (4, 8), (2, 8)):
+def test_quad_integrand_gets_column_contiguous_tiles():
+    # one (M, n+1) tile of at most _TILE_ELEMS rows per call, each mu column
+    # contiguous, whether a tile is a slice of one theta_1 row (D = 9,
+    # N = 17) or several whole rows
+    for D, nodes in ((9, 17), (9, 8), (8, 8), (4, 8), (3, 8), (2, 8)):
         seen = []
 
         def f(mus):
-            seen.append((mus.flags["C_CONTIGUOUS"], mus.shape[0]))
+            seen.append((mus.flags["F_CONTIGUOUS"], mus.shape))
             return np.ones(mus.shape[0])
 
         est = quad_integrate(D, f, nodes_per_axis=nodes)
         assert seen and all(contiguous for contiguous, _ in seen)
-        assert max(rows for _, rows in seen) <= _TILE_ELEMS
-        assert sum(rows for _, rows in seen) == est.samples_or_nodes
+        assert {shape[1] for _, shape in seen} == {D // 2 + 1}
+        assert max(shape[0] for _, shape in seen) <= _TILE_ELEMS
+        assert sum(shape[0] for _, shape in seen) == est.samples_or_nodes
 
 
 def test_mc_memory_does_not_grow_with_D():
@@ -525,19 +533,25 @@ def test_quad_error_bar_covers_the_truth(case):
 
 
 def test_quad_integrand_error_carries_radii():
-    seen = []
+    # inf in the first tile at D = 4, NaN in a later tile at D = 9: the row
+    # is that node's (n+1,) radii, read across the column-contiguous tile
+    for D, value, call in ((4, math.inf, 1), (9, math.nan, 2)):
+        calls, seen = [], []
 
-    def bad(mus):
-        seen.append(mus[9].copy())  # the grid buffer is reused, so copy on receipt
-        out = np.ones(mus.shape[0])
-        out[9] = math.inf
-        return out
+        def bad(mus):
+            calls.append(len(mus))
+            out = np.ones(mus.shape[0])
+            if len(calls) == call:
+                seen.append(mus[9].copy())  # the grid buffer is reused, so copy on receipt
+                out[9] = value
+            return out
 
-    with pytest.raises(IntegrandError, match="at a quadrature node") as err:
-        quad_integrate(4, bad, nodes_per_axis=8)
-    row = err.value.row
-    assert row.shape == (3,) and np.array_equal(row, seen[0])
-    assert row.base is None  # a copy: it pins no grid buffer
+        with pytest.raises(IntegrandError, match="at a quadrature node") as err:
+            quad_integrate(D, bad, nodes_per_axis=8)
+        row = err.value.row
+        assert row.shape == (D // 2 + 1,) and np.array_equal(row, seen[0])
+        assert math.fsum(row * row) == pytest.approx(1.0, rel=1e-15)
+        assert row.base is None  # a copy: it pins no grid buffer
 
 
 def test_poly_integrate_examples():
