@@ -31,7 +31,10 @@ from .integrals import (_FLOAT_MAX_REL_ERR, _MIN_QUAD_NODES, _check_D, _check_qu
 
 def _oracle():
     """The oracle module, imported on first use: only the oracles need numpy."""
-    from . import oracle
+    try:
+        from . import oracle
+    except ImportError as e:  # the exact path runs without numpy; a refusal, not a traceback
+        raise _UsageError(f"--verify and sample need numpy, which did not import: {e}")
     return oracle
 
 
@@ -304,7 +307,7 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
 def _volume(args) -> int:
     # the constant 1 is the empty mu-power product
     return _closed(args, {"D": args.D}, sphere_volume(args.D), args.D,
-                   (args.D, lambda mus: _oracle().mu_power_values(mus, ()), 1.0))
+                   (args.D, lambda mus: _oracle().monomial_values(mus, ()), 1.0))
 
 
 def _dirichlet(args) -> int:
@@ -324,7 +327,7 @@ def _dirichlet(args) -> int:
         closed,
         args.n,
         # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
-        (2 * args.n + 1, lambda mus: _oracle().mu_power_values(mus, lifted),
+        (2 * args.n + 1, lambda mus: _oracle().monomial_values(mus, lifted),
          math.pi ** -(args.n + 1)),
         mc_f=lambda b: _oracle().monomial_values(b.xs, alphas, absolute=not args.signed),
     )
@@ -333,7 +336,7 @@ def _dirichlet(args) -> int:
 def _mu_power(args) -> int:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     return _closed(args, {"D": args.D, "alpha": alphas}, mu_power_integral(args.D, alphas),
-                   args.D, (args.D, lambda mus: _oracle().mu_power_values(mus, alphas), 1.0))
+                   args.D, (args.D, lambda mus: _oracle().monomial_values(mus, alphas), 1.0))
 
 
 # Monte Carlo on gamma^(D+1) <= F = (1 - max w^2)^(-(D+1)/2): as the mean is
@@ -420,13 +423,12 @@ _MAX_SAMPLE_VALUES = 1 << 20
 _SAMPLE_BLOCK = 4096  # rows formatted per write
 
 
-def _sample_blocks(D, seed, count):
+def _sample_blocks(oracle, D, seed, count):
     """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held.
 
     phi_i = atan2(x_{2i}, x_{2i-1}) mod 2 pi, from libm per value: numpy's
     arctan2 picks its SIMD kernel by CPU, and its bits move with it.
     """
-    oracle = _oracle()
     k = (D + 1) // 2
     # the private chunk stream: a public streaming API would be one more name for one caller
     for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count)):
@@ -446,7 +448,7 @@ def _sample(args) -> int:
             f"sample --count {args.count} on S^{D} is past the output budget: "
             f"count * (D+1) may be at most {_MAX_SAMPLE_VALUES} coordinates"
         )
-    blocks = _sample_blocks(D, args.seed, args.count)
+    blocks = _sample_blocks(_oracle(), D, args.seed, args.count)  # numpy loads before any output
     out = sys.stdout
     if args.json:
         import json

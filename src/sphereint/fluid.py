@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .exactpi import BudgetError, DomainError, _Frozen, to_float
-from .integrals import _check_D, mu_power_float, sphere_volume
+from .integrals import _check_D, mu_power_integral, sphere_volume
 
 # fluid_series refuses above this; the closed form stays available to 1.
 _SERIES_W2_LIMIT = 0.99
@@ -104,9 +104,9 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
     Refuses max w_j^2 past _SERIES_W2_LIMIT: convergence goes as
     (max w_j^2)^k, so the shell count needed there is enormous; use
     fluid_closed instead.  Refuses up front, with BudgetError (a
-    ValueError), a truncation order past _SERIES_MAX_ORDER.  V_D comes
-    from the log-Gamma float kernel, not from the exact route fluid_closed
-    takes, so a wrong V_D in either shows as a gap between the two.
+    ValueError), a truncation order past _SERIES_MAX_ORDER.  V_D is
+    mu_power_integral with float zeros, the log-Gamma float kernel, not the
+    exact route fluid_closed takes, so a wrong V_D in either shows as a gap.
     Raises OverflowError past D = 437, where V_D leaves the double range,
     before the recurrence runs.
     """
@@ -126,7 +126,7 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
             "impractically many shells this close to divergence; evaluate "
             "fluid_closed instead"
         )
-    volume = mu_power_float(params.D, (0,) * len(params.omegas))
+    volume = mu_power_integral(params.D, (0.0,) * len(params.omegas))
     h = [1.0] + [0.0] * (K + 1)  # h[k] = h_k of the circles folded in so far
     for x in w2:
         for k in range(1, K + 2):

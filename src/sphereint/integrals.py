@@ -226,12 +226,7 @@ def dirichlet_abs(n: int, alphas: Sequence[Number]) -> PiRational | float:
 
 
 def dirichlet_abs_float(n: int, alphas: Sequence[Number]) -> float:
-    """Floating-point path for dirichlet_abs, via log-Gamma only.
-
-    Kept independent of the exact path so the two can check each other.
-    Raises DomainError for exponents so large that the log-Gamma terms
-    cancel past a relative error of _FLOAT_MAX_REL_ERR.
-    """
+    """dirichlet_abs on the log-Gamma float kernel, whatever the exponent types."""
     n = _check_D(n, 0)
     alphas = _check_exponents(alphas, n + 1, 0, "dirichlet_abs_float")
     return _lgamma_quotient(0, 1, alphas, n + 1)
@@ -251,11 +246,7 @@ def mu_power_integral(D: int, alphas: Sequence[Number]) -> PiRational | float:
 
 
 def mu_power_float(D: int, alphas: Sequence[Number]) -> float:
-    """Floating-point path for mu_power_integral, via log-Gamma only.
-
-    Raises DomainError for exponents so large that the log-Gamma terms
-    cancel past a relative error of _FLOAT_MAX_REL_ERR.
-    """
+    """mu_power_integral on the log-Gamma float kernel, whatever the exponent types."""
     D = _check_D(D)
     alphas = _check_exponents(alphas, (D + 1) // 2, -1, "mu_power_float")
     return _lgamma_quotient(D + 1, 2, alphas, D + 1)

@@ -159,8 +159,7 @@ def mc_integrate(
     vol = _volume_float(D)
     total = 0.0
     count = 0
-    run_mean = 0.0
-    m2 = 0.0  # sum of squared deviations from run_mean over the chunks so far
+    m2 = 0.0  # sum of squared deviations from total / count over the chunks so far
     for xs in _iter_xs_chunks(D, config):
         batch = PointBatch(D, xs)
         vals = _values(f, batch, xs, count)
@@ -168,9 +167,8 @@ def mc_integrate(
         m = len(batch)
         chunk_mean = chunk_sum / m
         dev = vals - chunk_mean
-        delta = chunk_mean - run_mean
+        delta = chunk_mean - total / max(count, 1)  # the first chunk's delta has weight 0
         m2 += float(np.sum(dev * dev)) + delta * delta * count * m / (count + m)
-        run_mean += delta * m / (count + m)
         total += chunk_sum
         count += m
     mean = total / count
@@ -345,17 +343,19 @@ def monomial_values(
 ) -> np.ndarray:
     """prod_j xs[:, j]^(e_j), optionally with |xs| as the base; never a view of xs.
 
-    An even exponent >= 4 on a signed base raises |x|: numpy's pow is slow
-    on negative bases, and the two differ by at most 1 ulp.
+    A column's base is |x| when absolute, or for an even exponent >= 4 on
+    a signed base: numpy's pow is slow on negative bases, and the two
+    differ by at most 1 ulp.
     """
-    base = np.abs(xs) if absolute else xs
     out = None
     for j, e in enumerate(exps):
         if e:
-            p = base[:, j]
+            p = xs[:, j]
+            if absolute or e >= 4 and e % 2 == 0:
+                p = np.abs(p)
             if e != 1:  # x ** 1.0 is x: multiply by the column itself
-                p = (np.abs(p) if not absolute and e >= 4 and e % 2 == 0 else p) ** float(e)
-            elif out is None:
+                p = p ** float(e)
+            elif out is None and p.base is not None:  # still a view of xs
                 p = p.copy()
             out = p if out is None else np.multiply(out, p, out=out)
     return np.ones(xs.shape[0]) if out is None else out

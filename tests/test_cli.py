@@ -685,6 +685,32 @@ def test_quad_refusals_do_not_import_numpy():
     assert [[code, "numpy" in after] for _, code, after in log] == [[c, False] for _, c in refused]
 
 
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every `import numpy` fails, as on an interpreter without it
+from sphereint.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_missing_numpy_is_a_refusal_before_any_output():
+    # a command that needs numpy exits 1 with one error line naming it and
+    # writes nothing first; the exact path runs as before
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for argv in (["volume", "--D", "4", "--verify"], ["sample", "--D", "2", "--count", "2"],
+                 ["sample", "--D", "2", "--count", "2", "--json"], ["volume", "--D", "4"],
+                 ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series"]):
+        r = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv], capture_output=True,
+                           text=True, env={"PYTHONPATH": src})
+        runs[" ".join(argv)] = (r.returncode, r.stdout, r.stderr)
+    for argv, (code, out, err) in list(runs.items())[:3]:
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: --verify and sample need numpy") and err.count("\n") == 1
+    assert runs["volume --D 4"] == (0, "8/3 * pi^2 = 26.3189450696\n", "")
+    assert runs["fluid --D 3 --omega 0.3,0.4 --series"][0] == 0
+
+
 def test_exact_commands_load_no_dataclasses_inspect_or_typing(tracked_imports):
     exact, _, log = tracked_imports
     heavy = {"dataclasses", "inspect", "typing", "numpy"}

@@ -360,14 +360,18 @@ def test_quad_bits_do_not_depend_on_the_blas_threads():
 def test_quad_bits_do_not_depend_on_the_tile_size(monkeypatch):
     # D = 9, N = 16 has 16^3 and 32^3 nodes per theta_1 row: tiles of 2^8
     # cut every row, 2^14 holds four coarse rows or half a refined one, and
-    # 2^20 holds every row of either pass
-    f = lambda mus: mu_power_values(mus, (2, 0, 1, 1, 0))
-    bits = set()
+    # 2^20 holds every row of either pass; the fluid integrand, which sums
+    # across the radii, must give one result too
+    fluid = FluidParams(9, (0.3, 0.2, 0.4, 0.1, 0.5))
+    bits = {"mu": set(), "fluid": set()}
     for tile in (1 << 8, _TILE_ELEMS, 1 << 20):
         monkeypatch.setattr(oracle, "_TILE_ELEMS", tile)
-        est = quad_integrate(9, f, nodes_per_axis=16)
-        bits.add((est.value.hex(), est.error.hex()))
-    assert bits == {("0x1.55d3c7e3cc022p-1", "0x1.b10894e3f1654p-15")}
+        for kind, f in (("mu", lambda mus: mu_power_values(mus, (2, 0, 1, 1, 0))),
+                        ("fluid", lambda mus: gamma_power_values(mus, fluid))):
+            est = quad_integrate(9, f, nodes_per_axis=16)
+            bits[kind].add((est.value.hex(), est.error.hex()))
+    assert bits["mu"] == {("0x1.55d3c7e3cc022p-1", "0x1.b10894e3f1654p-15")}
+    assert len(bits["fluid"]) == 1
 
 
 def test_quad_pass_matches_a_reference_loop():
