@@ -271,34 +271,31 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
         return _write(args, inputs, closed, decimal, lines)
     if D < 1:
         raise DomainError("oracle verification needs n >= 1; the n = 0 sphere is two points")
-    if args.oracle == "quad" and not quad:
-        raise DomainError(f"{args.command} integrands are not radii-only, so quadrature "
-                          "cannot check them; verify with --oracle mc")
-    if args.oracle == "mc" and args.samples * (D + 1) * (terms or 1) > _MAX_MC_VALUES:
-        work = "samples * (D+1)" if terms is None else f"samples * (D+1) * {terms} terms"
-        raise BudgetError(
-            f"--samples {args.samples} on S^{D} is past the Monte Carlo budget: "
-            f"{work} may be at most {_MAX_MC_VALUES} coordinates"
-        )
-    if args.oracle == "quad":
-        _check_quad(quad[0], args.nodes)  # before numpy loads
     inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
     if quad:
         inputs["nodes"] = args.nodes
-    oracle = _oracle()
-    if args.oracle == "mc":
-        mc_f = mc_f or (lambda b: quad[1](b.mus))
-        est = oracle.mc_integrate(D, mc_f, oracle.MCConfig(args.seed, args.samples))
-        value, error = est.value, est.error
-        sigma = _sigma_of(abs(decimal - value), error, decimal)
-        ok = sigma <= args.sigma
-    else:
+    if args.oracle == "quad":
+        if not quad:
+            raise DomainError(f"{args.command} integrands are not radii-only, so quadrature "
+                              "cannot check them; verify with --oracle mc")
         sphere, f, scale = quad
-        est = oracle.quad_integrate(sphere, f, args.nodes)
+        _check_quad(sphere, args.nodes)  # before numpy loads
+        est = _oracle().quad_integrate(sphere, f, args.nodes)
         value, error = est.value * scale, est.error * scale
-        sigma = abs(decimal - value) / error
-        ok = sigma <= 1.0
-    status = "ok" if ok else "disagree"
+        sigma, limit = abs(decimal - value) / error, 1.0
+    else:
+        if args.samples * (D + 1) * (terms or 1) > _MAX_MC_VALUES:
+            work = "samples * (D+1)" if terms is None else f"samples * (D+1) * {terms} terms"
+            raise BudgetError(
+                f"--samples {args.samples} on S^{D} is past the Monte Carlo budget: "
+                f"{work} may be at most {_MAX_MC_VALUES} coordinates"
+            )
+        oracle = _oracle()
+        est = oracle.mc_integrate(D, mc_f or (lambda b: quad[1](b.mus)),
+                                  oracle.MCConfig(args.seed, args.samples))
+        value, error = est.value, est.error
+        sigma, limit = _sigma_of(abs(decimal - value), error, decimal), args.sigma
+    status = "ok" if sigma <= limit else "disagree"
     lines += [f"oracle ({args.oracle}) = {_fmt(value, args.digits)} +- {error:.3g}",
               f"agreement sigma = {sigma:.3g}", f"status = {status}"]
     return _write(args, inputs, closed, decimal, lines, value, error, sigma, status)
@@ -417,28 +414,27 @@ def _reduce(args) -> int:
                   lines, reduced_decimal, 0.0, sig, status)
 
 
-# sample streams its rows, so memory does not grow with --count; the
-# budget bounds the output size
+# sample streams its rows in blocks of about _SAMPLE_BLOCK_VALUES
+# coordinates, so memory grows with neither --count nor D; the budget
+# bounds the output size
 _MAX_SAMPLE_VALUES = 1 << 20
-_SAMPLE_BLOCK = 4096  # rows formatted per write
+_SAMPLE_BLOCK_VALUES = 1 << 13
 
 
 def _sample_blocks(oracle, D, seed, count):
-    """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one chunk held.
+    """Blocks of (xs, mus, phis) rows as lists: sample_batch's stream and chart, one block held.
 
     phi_i = atan2(x_{2i}, x_{2i-1}) mod 2 pi, from libm per value: numpy's
     arctan2 picks its SIMD kernel by CPU, and its bits move with it.
     """
     k = (D + 1) // 2
-    # the private chunk stream: a public streaming API would be one more name for one caller
-    for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count)):
-        batch = oracle.PointBatch(D, xs)
-        for i in range(0, len(batch), _SAMPLE_BLOCK):
-            rows = slice(i, i + _SAMPLE_BLOCK)
-            pairs = xs[rows, : 2 * k].ravel().tolist()  # x1, y1, x2, y2, ... row by row
-            phis = [math.atan2(y, x) % math.tau for x, y in zip(pairs[0::2], pairs[1::2])]
-            yield zip(xs[rows].tolist(), batch.mus[rows].tolist(),
-                      (phis[j : j + k] for j in range(0, len(phis), k)))
+    rows = max(1, _SAMPLE_BLOCK_VALUES // (D + 1))
+    # the private stream: a public streaming API would be one more name for one caller
+    for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count), rows):
+        pairs = xs[:, : 2 * k].ravel().tolist()  # x1, y1, x2, y2, ... row by row
+        phis = [math.atan2(y, x) % math.tau for x, y in zip(pairs[0::2], pairs[1::2])]
+        yield zip(xs.tolist(), oracle.PointBatch(D, xs).mus.tolist(),
+                  (phis[j : j + k] for j in range(0, len(phis), k)))
 
 
 def _sample(args) -> int:

@@ -85,8 +85,7 @@ class PointBatch:
             np.sqrt(pair, out=pair)
             if block is not None:
                 mus[i : i + step, :k] = pair
-        if self.D % 2 == 0:
-            mus[:, k] = xs[:, self.D]
+                mus[i : i + step, k] = xs[i : i + step, self.D]
         return mus
 
 
@@ -119,11 +118,13 @@ def _volume_float(D: int) -> float:
     return vol
 
 
-def _iter_xs_chunks(D: int, config: MCConfig) -> Iterator[np.ndarray]:
+def _iter_xs_chunks(D: int, config: MCConfig, rows: int | None = None) -> Iterator[np.ndarray]:
     # Gaussian direction trick: a standard normal vector normalized to unit
-    # length is uniform on the sphere; no rejection step needed.
+    # length is uniform on the sphere; no rejection step needed.  The normal
+    # stream is row-major, so the block size (rows, default one MC chunk)
+    # moves no point: only mc_integrate's per-chunk sums depend on it.
     rng = np.random.default_rng(config.seed)
-    rows = min(_CHUNK, max(1, _CHUNK_VALUES // (D + 1)))
+    rows = rows or min(_CHUNK, max(1, _CHUNK_VALUES // (D + 1)))
     remaining = config.samples
     while remaining > 0:
         m = min(rows, remaining)
@@ -137,7 +138,7 @@ def _iter_xs_chunks(D: int, config: MCConfig) -> Iterator[np.ndarray]:
 def sample_batch(D: int, config: MCConfig) -> PointBatch:
     """All requested samples as one PointBatch (same stream as mc_integrate)."""
     D = _check_D(D)
-    return PointBatch(D, np.concatenate(list(_iter_xs_chunks(D, config))))
+    return PointBatch(D, next(_iter_xs_chunks(D, config, config.samples)))
 
 
 def mc_integrate(

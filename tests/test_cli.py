@@ -233,15 +233,19 @@ def test_json_sample_points(capsys):
                 assert abs(pt["xs"][2 * i + 1] - pt["mus"][i] * math.sin(phi)) <= 1e-15
 
 
-@pytest.mark.parametrize("D", [2, 3])
-def test_streamed_sample_matches_the_whole_batch(D, capsys, monkeypatch):
+_BLOCKS = [(2, None), (3, None), (40, None), (2, 1), (2, 5), (3, 1), (3, 5)]
+
+
+@pytest.mark.parametrize("D, block_rows", _BLOCKS,
+                         ids=[f"{D}" + (f"-{r}rows" if r else "") for D, r in _BLOCKS])
+def test_streamed_sample_matches_the_whole_batch(D, block_rows, capsys, monkeypatch):
     import sphereint.cli
     from sphereint import oracle
 
-    # small chunks and write blocks, so 4 chunks and several blocks per chunk
-    monkeypatch.setattr(oracle, "_CHUNK", 16)
-    monkeypatch.setattr(sphereint.cli, "_SAMPLE_BLOCK", 5)
-    count = 3 * 16 + 7
+    # write blocks of 1 row, 5 rows or the default (199 rows at D = 40)
+    if block_rows:
+        monkeypatch.setattr(sphereint.cli, "_SAMPLE_BLOCK_VALUES", block_rows * (D + 1))
+    count = 1000
     batch = oracle.sample_batch(D, oracle.MCConfig(seed=11, samples=count))
     phis = [[math.atan2(x[2 * i + 1], x[2 * i]) % (2 * math.pi) for i in range((D + 1) // 2)]
             for x in batch.xs.tolist()]
@@ -253,13 +257,37 @@ def test_streamed_sample_matches_the_whole_batch(D, capsys, monkeypatch):
     report = {"operation": "sample", "inputs": {"D": D, "seed": 11, "count": count},
               **dict.fromkeys(REPORT_KEYS - {"operation", "inputs", "status"}),
               "status": "ok", "points": [{"xs": x, "mus": m, "phis": p} for x, m, p in rows]}
-    assert out == json.dumps(report, sort_keys=True) + "\n"
+    # point by point, so a mismatch names its first point instead of diffing one long line
+    expected = json.dumps(report, sort_keys=True) + "\n"
+    assert out.split('{"mus"') == expected.split('{"mus"')
 
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert len(lines) == count + 1
     assert lines[1:] == [",".join(map(repr, x + m + p)) for x, m, p in rows]
+
+
+_SAMPLE_RSS = """
+import resource, sys
+from sphereint.cli import main
+code = main(["sample", "--D", "255", "--count", "4096", "--json"])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KB elsewhere
+sys.stderr.write(f"{code} {peak // 1024 if sys.platform == 'darwin' else peak}")
+"""
+
+
+def test_sample_memory_does_not_grow_with_D():
+    # a write block holds about 2^13 coordinates whatever D is: 32 rows at
+    # D = 255, where 4096-row blocks once peaked at 262 MB.  The child's
+    # own peak RSS covers the interpreter and numpy too (27 MB)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run([sys.executable, "-c", _SAMPLE_RSS], stdout=subprocess.DEVNULL,
+                       stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    code, peak_kb = map(int, r.stderr.split())
+    assert code == 0
+    assert peak_kb <= 120 * 1024
 
 
 # -- alpha list handling ----------------------------------------------------

@@ -152,9 +152,11 @@ def _chart(D, xs):
 
 @pytest.mark.parametrize("D", [4, 5])
 def test_sample_batch_chart_matches_per_chunk_chart(D):
-    batch = sample_batch(D, MCConfig(seed=77, samples=_CHUNK + 5))
-    parts = [_chart(D, batch.xs[:_CHUNK]), _chart(D, batch.xs[_CHUNK:])]
-    assert batch.mus.tobytes() == np.concatenate(parts).tobytes()
+    config = MCConfig(seed=77, samples=_CHUNK + 5)
+    batch = sample_batch(D, config)
+    chunks = list(oracle._iter_xs_chunks(D, config))  # mc_integrate's two chunks
+    assert batch.xs.tobytes() == np.concatenate(chunks).tobytes()
+    assert batch.mus.tobytes() == np.concatenate([_chart(D, xs) for xs in chunks]).tobytes()
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 12, 40])
@@ -426,13 +428,13 @@ def test_mc_memory_does_not_grow_with_D():
     assert peak <= 40_000_000
 
 
-def test_sample_batch_is_chunk_independent(monkeypatch):
+def test_sample_batch_is_chunk_independent():
     # the normal stream is row-major, so where the chunks split it moves no point
     config = MCConfig(seed=5, samples=200)
-    whole = sample_batch(40, config).xs  # one chunk: 200 rows < 2^21 // 41
-    for values in (41, 41 * 7, 41 * 64 + 3):  # 1, 7 and 64 rows per chunk
-        monkeypatch.setattr(oracle, "_CHUNK_VALUES", values)
-        assert sample_batch(40, config).xs.tobytes() == whole.tobytes()
+    whole = sample_batch(40, config).xs
+    for rows in (1, 7, 64):
+        chunks = list(oracle._iter_xs_chunks(40, config, rows))
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
 def test_quad_grid_memory_stays_bounded():
