@@ -9,11 +9,14 @@ log-Gamma float formula.
 Reproducibility: the random stream is numpy's PCG64 as wrapped by
 numpy.random.default_rng(seed) (numpy >= 1.24), consumed in fixed-size
 chunks of 2**17 draws, or 2**21 // (D+1) past D = 15, whose partial sums
-are accumulated in order.  The same (seed, samples, integrand, D)
-therefore reproduces the estimate bit-for-bit on one platform.  The
-quadrature sums each theta_1 row of its grid with numpy's pairwise sum and
-adds the row sums in theta_1 order, an order fixed by the grid alone,
-independent of the tile size and the BLAS thread count.
+are accumulated in order.  Each chunk is drawn and evaluated in blocks of
+about 2**16 coordinates, which move no bit: only the chunk sets the sums.
+The same (seed, samples, integrand, D) therefore reproduces the estimate
+bit-for-bit on one platform.  The quadrature sums each theta_1 row of its
+grid with numpy's pairwise sum, a row wider than a tile from leaf tiles
+added along that same pairwise tree, and adds the row sums in theta_1
+order, an order fixed by the grid alone, independent of the tile size and
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,11 +33,16 @@ import numpy as np
 from .exactpi import _Frozen
 from .integrals import _check_D, _check_quad
 
+# rows per MC chunk, the unit of mc_integrate's sums; past D = 15 a chunk
+# holds fewer rows, at most _CHUNK_VALUES coordinates
 _CHUNK = 1 << 17
-# coordinates per MC chunk (16 MB of doubles): past D = 15 a chunk holds
-# fewer than _CHUNK rows, so the sampler's memory does not grow with D
 _CHUNK_VALUES = 1 << 21
-# grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2
+# coordinates per MC block, the unit of drawing, charting and the integrand
+# call: 512 KB of doubles, about one L2, so the sampler's memory grows with
+# neither the sample count nor D
+_BLOCK_VALUES = 1 << 16
+# grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2.
+# At least 128, numpy's pairwise-sum leaf, so a tile never cuts a leaf
 _TILE_ELEMS = 1 << 14
 
 
@@ -118,27 +126,38 @@ def _volume_float(D: int) -> float:
     return vol
 
 
+def _chunk_rows(D: int) -> int:
+    return min(_CHUNK, max(1, _CHUNK_VALUES // (D + 1)))
+
+
 def _iter_xs_chunks(D: int, config: MCConfig, rows: int | None = None) -> Iterator[np.ndarray]:
     # Gaussian direction trick: a standard normal vector normalized to unit
-    # length is uniform on the sphere; no rejection step needed.  The normal
-    # stream is row-major, so the block size (rows, default one MC chunk)
-    # moves no point: only mc_integrate's per-chunk sums depend on it.
+    # length is uniform on the sphere; no rejection step needed.  Blocks of
+    # rows rows (default about _BLOCK_VALUES coordinates) are cut at every
+    # MC chunk boundary too.  The normal stream is row-major, so the block
+    # size moves no point: only mc_integrate's per-chunk sums depend on the
+    # chunk size.
     rng = np.random.default_rng(config.seed)
-    rows = rows or min(_CHUNK, max(1, _CHUNK_VALUES // (D + 1)))
-    remaining = config.samples
-    while remaining > 0:
-        m = min(rows, remaining)
-        g = rng.standard_normal((m, D + 1))
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        g /= norms[:, None]
-        yield g
-        remaining -= m
+    chunk = _chunk_rows(D)
+    rows = rows or max(1, _BLOCK_VALUES // (D + 1))
+    for start in range(0, config.samples, chunk):
+        stop = min(config.samples, start + chunk)
+        for a in range(start, stop, rows):
+            g = rng.standard_normal((min(rows, stop - a), D + 1))
+            norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+            g /= norms[:, None]
+            yield g
 
 
 def sample_batch(D: int, config: MCConfig) -> PointBatch:
     """All requested samples as one PointBatch (same stream as mc_integrate)."""
     D = _check_D(D)
-    return PointBatch(D, next(_iter_xs_chunks(D, config, config.samples)))
+    xs = np.empty((config.samples, D + 1))
+    i = 0
+    for block in _iter_xs_chunks(D, config):
+        xs[i : i + len(block)] = block
+        i += len(block)
+    return PointBatch(D, xs)
 
 
 def mc_integrate(
@@ -148,8 +167,10 @@ def mc_integrate(
 ) -> OracleEstimate:
     """Monte Carlo estimate of the integral of f over S^D.
 
-    f receives a PointBatch and must return one float per row.  The value
-    is V_D * mean(f); error is V_D times the sample standard error of the
+    f receives a PointBatch and must return one float per row, each from
+    its own row alone: it is called once per block of about 2^16
+    coordinates, and a block never spans two chunks.  The value is
+    V_D * mean(f); error is V_D times the sample standard error of the
     mean (zero for a constant integrand).  The variance comes from
     per-chunk centred sums of squares merged by the pairwise update of
     Chan, Golub and LeVeque (1983), so a large mean cannot cancel it away.
@@ -161,17 +182,23 @@ def mc_integrate(
     total = 0.0
     count = 0
     m2 = 0.0  # sum of squared deviations from total / count over the chunks so far
+    vals = np.empty(min(_chunk_rows(D), config.samples))  # one chunk's values
+    m = 0  # rows of the current chunk evaluated so far
     for xs in _iter_xs_chunks(D, config):
-        batch = PointBatch(D, xs)
-        vals = _values(f, batch, xs, count)
-        chunk_sum = float(np.sum(vals))
-        m = len(batch)
+        vals[m : m + len(xs)] = _values(f, PointBatch(D, xs), xs, count + m)
+        m += len(xs)
+        if m < min(len(vals), config.samples - count):
+            continue
+        chunk = vals[:m]
+        chunk_sum = float(np.sum(chunk))
         chunk_mean = chunk_sum / m
-        dev = vals - chunk_mean
+        # squared deviations in place: the next chunk refills vals
+        sq_dev = np.square(np.subtract(chunk, chunk_mean, out=chunk), out=chunk)
         delta = chunk_mean - total / max(count, 1)  # the first chunk's delta has weight 0
-        m2 += float(np.sum(dev * dev)) + delta * delta * count * m / (count + m)
+        m2 += float(np.sum(sq_dev)) + delta * delta * count * m / (count + m)
         total += chunk_sum
         count += m
+        m = 0
     mean = total / count
     std_err = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
     return OracleEstimate(
@@ -248,55 +275,80 @@ def _values(f, arg, rows: np.ndarray, first: int | None = None) -> np.ndarray:
     return vals
 
 
+def _pairwise_sum(leaf_sum, stop: int, cap: int, start: int = 0):
+    """np.add.reduce of the run [start, stop), bit for bit, from leaf sums.
+
+    numpy sums a contiguous run of n <= 128 values in eight interleaved
+    accumulators and splits a longer run at n // 2 rounded down to a
+    multiple of 8.  This walks the same tree, stops at the first node of at
+    most cap >= 128 values, so it only cuts where numpy does, and adds the
+    leaves' sums leaf_sum(a, b) along it.  leaf_sum is called left to right.
+    """
+    if stop - start <= cap:
+        return leaf_sum(start, stop)
+    half = (stop - start) // 2
+    mid = start + half - half % 8
+    return _pairwise_sum(leaf_sum, mid, cap, start) + _pairwise_sum(leaf_sum, stop, cap, mid)
+
+
 def _quad_tensor(D: int, f, npoints: int) -> float:
     if D == 1:
         # S^1 has mu_1 = 1 identically; only the angle integral remains.
         mus = np.array([[1.0]])
+        mus.flags.writeable = False
         return 2.0 * math.pi * float(_values(f, mus, mus)[0])
 
     n = D // 2
     (cos0, sin0, w0), *inner_axes = _axis_data(D, npoints)
     inner_size = npoints ** (n - 1)
-    # chain position c -> mu column: in order for odd D; for even D the
-    # sign-carrying position 0 is the last column
-    columns = list(range(n + 1)) if D % 2 == 1 else [n] + list(range(n))
-    # the mu columns that carry a sin(theta_1) factor, a contiguous run
+    # the mu column of chain position 1, cos(theta_1): the first for odd D;
+    # for even D, where position 1 is the sign-carrying mu_{n+1}, the last
+    cos_column = 0 if D % 2 == 1 else n
+    # the mu columns of chain positions 2..n+1, which carry a sin(theta_1)
+    # factor, a contiguous run
     scaled = slice(1, n + 1) if D % 2 == 1 else slice(0, n)
-    # column-major template of the inner grid, one row per mu column: chain
-    # positions 2..n+1, each missing the sin(theta_1) factor, and the weight
-    # product over the inner axes, each built one axis at a time; the
-    # cos(theta_1) row stays zero and is never read
-    template = np.zeros((n + 1, inner_size))
-    prefix = w_inner = np.ones(1)
+    # the inner grid, built in place one axis at a time: template row c
+    # holds chain position c + 2 without its sin(theta_1) factor, the last
+    # row the running sin product, and w_inner the weight product
+    grid = (npoints,) * (n - 1)
+    template = np.empty((n, inner_size))
+    sins = template[n - 1].reshape(grid)
+    sins.fill(1.0)
+    w_inner = np.ones(inner_size)
     for j, (cos, sin, w) in enumerate(inner_axes):
-        reps = inner_size // (prefix.size * npoints)
-        template[columns[j + 1]] = np.repeat(np.multiply.outer(prefix, cos).ravel(), reps)
-        prefix = np.multiply.outer(prefix, sin).ravel()
-        w_inner = np.multiply.outer(w_inner, w).ravel()
-    template[columns[n]] = prefix
-    del prefix  # of the build, the sweep keeps only the template and w_inner
+        axis = (npoints,) + (1,) * (n - 2 - j)  # broadcasts along inner axis j
+        np.multiply(sins, cos.reshape(axis), out=template[j].reshape(grid))
+        np.multiply(sins, sin.reshape(axis), out=sins)
+        np.multiply(w_inner.reshape(grid), w.reshape(axis), out=w_inner.reshape(grid))
 
-    # a tile is whole theta_1 rows of the template, or a slice of one row
+    # a tile is whole theta_1 rows of the grid, or one leaf of a row's
+    # pairwise sum; tbuf holds its mu columns, wbuf its weighted values
     tile_rows = min(npoints, max(1, _TILE_ELEMS // inner_size))
-    tile_span = min(inner_size, _TILE_ELEMS)
-    tbuf = np.empty((n + 1) * tile_rows * tile_span)
-    vbuf = np.empty((tile_rows, inner_size))  # weighted values of the tile's theta_1 rows
+    wbuf = np.empty(tile_rows * min(inner_size, _TILE_ELEMS))
+    tbuf = np.empty((n + 1) * wbuf.size)
     row_sums = np.empty(npoints)
+    cos_layout = None  # (theta_1 rows, tile shape) whose cos(theta_1) column tbuf holds
+
+    def leaf_sum(rows: slice, a: int, b: int) -> np.ndarray:
+        nonlocal cos_layout
+        shape = (rows.stop - rows.start, b - a)
+        tile = tbuf[: (n + 1) * shape[0] * shape[1]].reshape(n + 1, *shape)
+        np.multiply(sin0[rows, None], template[:, None, a:b], out=tile[scaled])
+        if cos_layout != (rows, shape):  # a row's leaves of one width share it
+            np.copyto(tile[cos_column], cos0[rows, None])
+            cos_layout = (rows, shape)
+        mus = tile.reshape(n + 1, -1).T  # (M, n+1), each mu column contiguous
+        mus.flags.writeable = False
+        vals = _values(f, mus, mus).reshape(shape)
+        weighted = np.multiply(vals, w_inner[a:b], out=wbuf[: vals.size].reshape(shape))
+        return np.add.reduce(weighted, axis=1)
+
     for i in range(0, npoints, tile_rows):
-        i_stop = min(npoints, i + tile_rows)
-        rows = vbuf[: i_stop - i]
-        for a in range(0, inner_size, tile_span):
-            a_stop = min(inner_size, a + tile_span)
-            tile = tbuf[: (n + 1) * (i_stop - i) * (a_stop - a)]
-            tile = tile.reshape(n + 1, i_stop - i, a_stop - a)
-            np.multiply(sin0[i:i_stop, None], template[scaled, None, a:a_stop], out=tile[scaled])
-            np.copyto(tile[columns[0]], cos0[i:i_stop, None])
-            mus = tile.reshape(n + 1, -1).T  # (M, n+1), each mu column contiguous
-            vals = _values(f, mus, mus).reshape(i_stop - i, a_stop - a)
-            np.multiply(vals, w_inner[a:a_stop], out=rows[:, a:a_stop])
-        # numpy's pairwise sum, not a BLAS dot: a row's sum depends on its
-        # values alone, whatever the tile size or the BLAS thread count
-        np.add.reduce(rows, axis=1, out=row_sums[i:i_stop])
+        rows = slice(i, min(npoints, i + tile_rows))
+        # numpy's pairwise sum of each row, not a BLAS dot: a row's sum
+        # depends on its values alone, whatever the tile size or the BLAS
+        # thread count
+        row_sums[rows] = _pairwise_sum(lambda a, b: leaf_sum(rows, a, b), inner_size, _TILE_ELEMS)
     # the row sums in theta_1 order: accumulate adds strictly left to right
     total = float(np.add.accumulate(w0 * row_sums)[-1])
     return (2.0 * math.pi) ** ((D + 1) // 2) * total
@@ -310,15 +362,16 @@ def quad_integrate(
     """Deterministic quadrature of a radii-only integrand over S^D.
 
     f receives an (M, n+1) array of polar radii, each column contiguous
-    (Fortran order), and returns one float per row.  The array is one tile
-    of the grid, M <= 2^14 rows, and a view of a buffer that the next tile
-    overwrites, so an f that keeps it must copy it.  The circle angles are
+    (Fortran order), and returns one float per row, each from its own row
+    alone.  It is called once per tile of the grid, M <= 2^14 rows, and
+    gets a read-only view of a buffer that the next tile overwrites, so an
+    f that keeps it must copy it.  The circle angles are
     integrated analytically, leaving an n-dimensional tensor-product
     Gauss-Legendre grid, which the cap on D keeps to at most four axes.
     The estimate is the refined pass I(2N); error is |I(2N) - I(N)| plus a
     roundoff floor, so a converged result never reports a zero bound.
-    Each pass sums its grid row by row in numpy, in an order set by the
-    grid alone, so the bits do not depend on the tile size or the BLAS
+    Each pass sums its grid row by row along numpy's pairwise tree, in an
+    order set by the grid alone, so the bits do not depend on the tile size or the BLAS
     thread count.
 
     Its argument limits are integrals._check_quad's, checked up front.

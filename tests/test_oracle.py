@@ -154,7 +154,7 @@ def _chart(D, xs):
 def test_sample_batch_chart_matches_per_chunk_chart(D):
     config = MCConfig(seed=77, samples=_CHUNK + 5)
     batch = sample_batch(D, config)
-    chunks = list(oracle._iter_xs_chunks(D, config))  # mc_integrate's two chunks
+    chunks = list(oracle._iter_xs_chunks(D, config))  # mc_integrate's blocks
     assert batch.xs.tobytes() == np.concatenate(chunks).tobytes()
     assert batch.mus.tobytes() == np.concatenate([_chart(D, xs) for xs in chunks]).tobytes()
 
@@ -239,6 +239,24 @@ def test_mc_integrand_error_carries_point():
     assert np.array_equal(row, sample_batch(2, MCConfig(seed=3, samples=64)).xs[7])
     assert row.base is None  # a copy: it pins no sample chunk
     assert "sample 7" in str(err.value)
+
+
+def test_mc_integrand_error_names_its_global_sample():
+    # at D = 5 sample 70,000 sits in the seventh block of the first chunk;
+    # f sees only its block, the error names the index in the whole stream
+    seen = []
+
+    def bad(batch):
+        out = np.ones(len(batch))
+        if sum(seen) <= 70_000 < sum(seen) + len(batch):
+            out[70_000 - sum(seen)] = math.nan
+        seen.append(len(batch))
+        return out
+
+    with pytest.raises(IntegrandError, match="sample 70000") as err:
+        mc_integrate(5, bad, MCConfig(seed=4, samples=10**5))
+    assert len(seen) > 1 and max(seen) < 70_000
+    assert np.array_equal(err.value.row, sample_batch(5, MCConfig(seed=4, samples=70_001)).xs[-1])
 
 
 def test_mc_shape_check():
@@ -415,17 +433,67 @@ def test_quad_integrand_gets_column_contiguous_tiles():
         assert sum(shape[0] for _, shape in seen) == est.samples_or_nodes
 
 
+def test_quad_integrand_gets_a_read_only_tile():
+    # the tile is a view of the grid buffer: a write would corrupt the next
+    # tile's radii, so numpy refuses it
+    def f(mus):
+        mus[:, 0] = 0.0
+        return np.ones(mus.shape[0])
+
+    for D in (1, 5, 8):
+        with pytest.raises(ValueError, match="read-only"):
+            quad_integrate(D, f, nodes_per_axis=8)
+
+
+@pytest.mark.parametrize("cap", [128, 1 << 8, 1 << 14])
+def test_pairwise_leaves_add_up_to_numpy_sum(cap):
+    # numpy splits a run of n > 128 at n // 2 rounded down to a multiple of
+    # 8; leaf sums added along that tree must give np.add.reduce bit for
+    # bit, on values spread over 2^120, where another order would round
+    # differently
+    rng = np.random.default_rng(cap)
+    lengths = [129, 130, 135, 136, 255, 257, 1001, 4913, 16383, 16385, 34**3, 64**3, 10**6]
+    lengths += [int(n) for n in rng.integers(129, 10**6, 6)]
+    for n in lengths:
+        x = rng.standard_normal(n) * 2.0 ** rng.integers(-60, 60, n)
+        leaves = []
+
+        def leaf_sum(a, b):
+            leaves.append(b - a)
+            return np.add.reduce(x[a:b])
+
+        total = oracle._pairwise_sum(leaf_sum, n, cap)
+        assert total.hex() == np.add.reduce(x).hex(), n
+        assert sum(leaves) == n and max(leaves) <= cap
+
+
 def test_mc_memory_does_not_grow_with_D():
-    # a chunk holds at most 2^21 coordinates (16.8 MB): 10,433 rows at
-    # D = 200, where 2^17 rows would be 210 MB.  Two chunks are live while
-    # the next one is drawn; the 40,000 rows in one piece would be 64 MB
+    # a chunk is 10,433 rows at D = 200, where 2^17 rows would be 210 MB,
+    # and only its values are kept (83 KB).  Its points are drawn and
+    # evaluated in blocks of 326 rows (524 KB), one block live at a time;
+    # the 40,000 rows in one piece would be 64 MB
     tracemalloc.start()
     try:
         mc_integrate(200, lambda b: b.xs[:, 0] ** 2, MCConfig(seed=3, samples=40_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40_000_000
+    assert peak <= 3_000_000
+
+
+def test_mc_working_set_is_one_block():
+    # D = 9, 10^5 samples: one chunk, whose 10^5 values (800 KB) are the
+    # only chunk-length array; the points, their radii and the fluid
+    # integrand's temporaries live one block of 6,553 rows at a time.
+    # Drawn whole, the chunk's points alone would be 8 MB
+    fluid = FluidParams(9, (0.3, 0.2, 0.4, 0.1, 0.5))
+    tracemalloc.start()
+    try:
+        mc_integrate(9, lambda b: gamma_power_values(b.mus, fluid), MCConfig(0, 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000
 
 
 def test_sample_batch_is_chunk_independent():
@@ -439,9 +507,10 @@ def test_sample_batch_is_chunk_independent():
 
 def test_quad_grid_memory_stays_bounded():
     # the D = 9, N = 32 refined grid holds 2^24 nodes; it is built tile by
-    # tile, never whole.  What stays is the (64^3, 5) inner template (10.5
-    # MB), the inner weights and one theta_1 row of weighted values (2.1 MB
-    # each), and a 640 KB tile
+    # tile, never whole.  What stays is the (4, 64^3) inner template (8.4
+    # MB), the inner weights w_inner (2.1 MB), one 2^14-node leaf tile of
+    # radii (655 KB) and its weighted values (131 KB).  No theta_1 row of
+    # values is kept: a row is summed leaf by leaf
     alphas = (2, 0, 1, 1, 0)
     tracemalloc.start()
     try:
@@ -449,7 +518,7 @@ def test_quad_grid_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20_000_000
+    assert peak <= 14_000_000
 
 
 def test_quad_nodes_stay_on_their_axis():
