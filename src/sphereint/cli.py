@@ -236,8 +236,11 @@ def _shown(value, digits: int) -> tuple:
 
 
 def _write(args, inputs, closed, decimal, lines, oracle_value=None, oracle_error=None,
-           sigma=None, status="ok") -> int:
-    """Print the text lines, or the JSON report under --json; exit 0 if ok, else 3."""
+           sigma=None, limit=None) -> int:
+    """Print the text lines or the --json report; a check's sigma past its limit exits 3."""
+    status = "ok" if sigma is None or sigma <= limit else "disagree"
+    if sigma is not None:
+        lines = [*lines, f"status = {status}"]
     if args.json:
         import json
 
@@ -295,10 +298,9 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
                                   oracle.MCConfig(args.seed, args.samples))
         value, error = est.value, est.error
         sigma, limit = _sigma_of(abs(decimal - value), error, decimal), args.sigma
-    status = "ok" if sigma <= limit else "disagree"
     lines += [f"oracle ({args.oracle}) = {_fmt(value, args.digits)} +- {error:.3g}",
-              f"agreement sigma = {sigma:.3g}", f"status = {status}"]
-    return _write(args, inputs, closed, decimal, lines, value, error, sigma, status)
+              f"agreement sigma = {sigma:.3g}"]
+    return _write(args, inputs, closed, decimal, lines, value, error, sigma, limit)
 
 
 def _volume(args) -> int:
@@ -370,14 +372,13 @@ def _fluid(args) -> int:
     # the partial sums rise to the closed value, by at most the tail bound
     gap, tol = closed - res.value, _ROUNDOFF * closed
     sigma = gap / (res.tail_bound + tol) if gap >= 0 else -gap / tol
-    status = "ok" if sigma <= 1.0 else "disagree"
     tail = "unbounded" if res.tail_bound == math.inf else f"{res.tail_bound:.3g}"
     lines = [_fmt(closed, args.digits),
              f"series (kmax={args.kmax}) = {_fmt(res.value, args.digits)} "
              f"(terms={res.terms_used}, last shell={res.last_term_magnitude:.3g})",
              f"tail bound = {tail}", f"relative gap = {abs(gap) / closed:.3g}",
-             f"agreement sigma = {sigma:.3g}", f"status = {status}"]
-    return _write(args, inputs, closed, closed, lines, res.value, res.tail_bound, sigma, status)
+             f"agreement sigma = {sigma:.3g}"]
+    return _write(args, inputs, closed, closed, lines, res.value, res.tail_bound, sigma, 1.0)
 
 
 def _integrate_poly(args) -> int:
@@ -399,26 +400,22 @@ def _reduce(args) -> int:
     reduced = reduction_rhs(args.D, alphas)
     decimal, headline = _shown(direct, args.digits)
     reduced_decimal, reduced_headline = _shown(reduced, args.digits)
-    if isinstance(direct, PiRational):
-        agree = direct == reduced
-        sig = 0.0 if agree else math.inf
-        note = "exact" if agree else "MISMATCH"
+    if isinstance(direct, PiRational):  # equal or not: sigma 0 or infinity against limit 0
+        sigma, limit = (0.0 if direct == reduced else math.inf), 0.0
+        note = "exact" if sigma == 0 else "MISMATCH"
     else:
-        sig = abs(decimal - reduced_decimal) / max(abs(decimal), 1e-300)
-        agree = sig <= _FLOAT_MAX_REL_ERR
-        note = f"relative gap {sig:.3g}"
-    status = "ok" if agree else "disagree"
-    lines = [f"direct:  {headline}", f"reduced: {reduced_headline}",
-             f"agreement: {note}", f"status = {status}"]
+        sigma = abs(decimal - reduced_decimal) / max(abs(decimal), 1e-300)
+        limit, note = _FLOAT_MAX_REL_ERR, f"relative gap {sigma:.3g}"
+    lines = [f"direct:  {headline}", f"reduced: {reduced_headline}", f"agreement: {note}"]
     return _write(args, {"D": args.D, "alpha": alphas, "oracle": "reduction"}, direct, decimal,
-                  lines, reduced_decimal, 0.0, sig, status)
+                  lines, reduced_decimal, 0.0, sigma, limit)
 
 
-# sample streams its rows in blocks of about _SAMPLE_BLOCK_VALUES
-# coordinates, so memory grows with neither --count nor D; the budget
-# bounds the output size
+# sample streams its rows in blocks of about _MAX_SAMPLE_ROW_VALUES
+# coordinates, so memory grows with neither --count nor D; a row wider than
+# a block is refused, and the budget bounds the output size
 _MAX_SAMPLE_VALUES = 1 << 20
-_SAMPLE_BLOCK_VALUES = 1 << 13
+_MAX_SAMPLE_ROW_VALUES = 1 << 13
 
 
 def _sample_blocks(oracle, D, seed, count):
@@ -428,7 +425,7 @@ def _sample_blocks(oracle, D, seed, count):
     arctan2 picks its SIMD kernel by CPU, and its bits move with it.
     """
     k = (D + 1) // 2
-    rows = max(1, _SAMPLE_BLOCK_VALUES // (D + 1))
+    rows = _MAX_SAMPLE_ROW_VALUES // (D + 1)
     # the private stream: a public streaming API would be one more name for one caller
     for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count), rows):
         pairs = xs[:, : 2 * k].ravel().tolist()  # x1, y1, x2, y2, ... row by row
@@ -439,6 +436,9 @@ def _sample_blocks(oracle, D, seed, count):
 
 def _sample(args) -> int:
     D = _check_D(args.D)
+    if D + 1 > _MAX_SAMPLE_ROW_VALUES:
+        raise BudgetError(f"sample --D {D} is past the row budget: a row's D+1 coordinates "
+                          f"may be at most {_MAX_SAMPLE_ROW_VALUES}, one write block")
     if args.count * (D + 1) > _MAX_SAMPLE_VALUES:
         raise BudgetError(
             f"sample --count {args.count} on S^{D} is past the output budget: "
@@ -487,10 +487,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (_UsageError, DomainError, ValueError, TypeError, OverflowError) as e:
+    except (_UsageError, ValueError, TypeError, OverflowError) as e:  # Domain-, BudgetError too
         sys.stderr.write(f"error: {e}\n")
         return 1 if isinstance(e, (_UsageError, BudgetError)) else 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,9 +24,11 @@ class BudgetError(ValueError):
 
 
 # Largest argument the exact Gamma accepts.  Gamma(a) is built from
-# factorials of up to 2a, and the Fraction arithmetic on them grows about
-# quadratically with a: at this cap the slowest closed form found takes
-# about 1 s on a 2-vCPU x86-64 host.
+# integers of up to (2a)!/a!, and the Fraction arithmetic on them grows
+# about quadratically with a; a closed form on S^n also multiplies n + 1
+# Gamma factors.  At this cap the slowest closed form found,
+# dirichlet_abs(49998, (0,) * 49999), takes about 0.45 s on a 2-vCPU
+# x86-64 host.
 _MAX_GAMMA_ARG = 25_000
 
 
@@ -253,6 +255,5 @@ def gamma_half(a: int | Fraction) -> PiRational:
     if a.denominator == 1:
         return PiRational(Fraction(math.factorial(a.numerator - 1)))
     k = (a.numerator - 1) // 2  # a = k + 1/2
-    q = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
-    return PiRational(q, 1)
+    return PiRational(Fraction(math.perm(2 * k, k), 4 ** k), 1)  # (2k)!/k! = perm(2k, k)
 

@@ -244,7 +244,7 @@ def test_streamed_sample_matches_the_whole_batch(D, block_rows, capsys, monkeypa
 
     # write blocks of 1 row, 5 rows or the default (199 rows at D = 40)
     if block_rows:
-        monkeypatch.setattr(sphereint.cli, "_SAMPLE_BLOCK_VALUES", block_rows * (D + 1))
+        monkeypatch.setattr(sphereint.cli, "_MAX_SAMPLE_ROW_VALUES", block_rows * (D + 1))
     count = 1000
     batch = oracle.sample_batch(D, oracle.MCConfig(seed=11, samples=count))
     phis = [[math.atan2(x[2 * i + 1], x[2 * i]) % (2 * math.pi) for i in range((D + 1) // 2)]
@@ -271,7 +271,7 @@ def test_streamed_sample_matches_the_whole_batch(D, block_rows, capsys, monkeypa
 _SAMPLE_RSS = """
 import resource, sys
 from sphereint.cli import main
-code = main(["sample", "--D", "255", "--count", "4096", "--json"])
+code = main(sys.argv[1:])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KB elsewhere
 sys.stderr.write(f"{code} {peak // 1024 if sys.platform == 'darwin' else peak}")
 """
@@ -279,15 +279,18 @@ sys.stderr.write(f"{code} {peak // 1024 if sys.platform == 'darwin' else peak}")
 
 def test_sample_memory_does_not_grow_with_D():
     # a write block holds about 2^13 coordinates whatever D is: 32 rows at
-    # D = 255, where 4096-row blocks once peaked at 262 MB.  The child's
-    # own peak RSS covers the interpreter and numpy too (27 MB)
+    # D = 255, where 4096-row blocks once peaked at 262 MB, and one row at
+    # D = 8191, the widest row accepted.  The child's own peak RSS covers
+    # the interpreter and numpy too (27 MB)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    r = subprocess.run([sys.executable, "-c", _SAMPLE_RSS], stdout=subprocess.DEVNULL,
-                       stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src})
-    assert r.returncode == 0, r.stderr
-    code, peak_kb = map(int, r.stderr.split())
-    assert code == 0
-    assert peak_kb <= 120 * 1024
+    for D, count in ((255, 4096), (8191, 128)):
+        argv = ["sample", "--D", str(D), "--count", str(count), "--json"]
+        r = subprocess.run([sys.executable, "-c", _SAMPLE_RSS, *argv], stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src})
+        assert r.returncode == 0, r.stderr
+        code, peak_kb = map(int, r.stderr.split())
+        assert code == 0, argv
+        assert peak_kb <= 120 * 1024, argv
 
 
 # -- alpha list handling ----------------------------------------------------
@@ -705,10 +708,13 @@ def test_exact_commands_do_not_import_numpy(tracked_imports):
 
 
 def test_quad_refusals_do_not_import_numpy():
-    # the quadrature's argument limits are checked before the oracle loads
+    # the quadrature's argument limits, and sample's row width, are checked
+    # before the oracle loads
     refused = [(["volume", "--D", "10", "--verify", "--oracle", "quad"], 2),
                (["mu-power", "--D", "9", "--alpha", "1,1,1,1,1", "--verify", "--oracle", "quad",
-                 "--nodes", "33"], 1)]
+                 "--nodes", "33"], 1),
+               (["sample", "--D", "8192", "--count", "1"], 1),
+               (["sample", "--D", "1048575", "--count", "1", "--json"], 1)]
     log = _track([argv for argv, _ in refused])
     assert [[code, "numpy" in after] for _, code, after in log] == [[c, False] for _, c in refused]
 

@@ -27,6 +27,13 @@ def test_gamma_matches_factorials():
         assert gamma_half(k) == PiRational(Fraction(math.factorial(k - 1)))
 
 
+def test_gamma_half_integers_match_the_factorial_quotient():
+    # (2k)!/(4^k k!) * sqrt(pi), built in full, out to the cap at k = 24,999
+    for k in (0, 1, 7, 12_499, 24_999):
+        q = Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+        assert gamma_half(Fraction(2 * k + 1, 2)) == PiRational(q, 1), k
+
+
 def test_gamma_recurrence_on_half_grid():
     # Gamma(a+1) = a Gamma(a) for every half-integer step up to 50
     a = Fraction(1, 2)
