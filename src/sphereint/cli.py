@@ -7,7 +7,8 @@ single JSON object with a fixed field set:
     agreement_sigma, status
 
 Keys are always present, null when not applicable.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 oracle disagreement under --verify.
+1 usage error or an unwritable stdout, 2 domain error, 3 oracle
+disagreement under --verify.
 Every input limit is refused before any integration runs; README's
 "Limits" table lists each one with the constant that holds it.
 --verify is a domain error (exit 2) on the n = 0 sphere, and --oracle quad
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -427,7 +429,7 @@ def _sample_blocks(oracle, D, seed, count):
     k = (D + 1) // 2
     rows = _MAX_SAMPLE_ROW_VALUES // (D + 1)
     # the private stream: a public streaming API would be one more name for one caller
-    for xs in oracle._iter_xs_chunks(D, oracle.MCConfig(seed=seed, samples=count), rows):
+    for xs in oracle._iter_xs_blocks(D, oracle.MCConfig(seed=seed, samples=count), rows):
         pairs = xs[:, : 2 * k].ravel().tolist()  # x1, y1, x2, y2, ... row by row
         phis = [math.atan2(y, x) % math.tau for x, y in zip(pairs[0::2], pairs[1::2])]
         yield zip(xs.tolist(), oracle.PointBatch(D, xs).mus.tolist(),
@@ -484,9 +486,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a full device may refuse only this last write
+        return code
     except SystemExit as e:  # --help
         return int(e.code or 0)
     except (_UsageError, ValueError, TypeError, OverflowError) as e:  # Domain-, BudgetError too
         sys.stderr.write(f"error: {e}\n")
         return 1 if isinstance(e, (_UsageError, BudgetError)) else 2
+    except OSError as e:  # stdout closed or full; the one file read refuses its own OSError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for shutdown's flush
+        sys.stderr.write(f"error: cannot write the output: {e}\n")
+        return 1

@@ -41,8 +41,8 @@ _CHUNK_VALUES = 1 << 21
 # call: 512 KB of doubles, about one L2, so the sampler's memory grows with
 # neither the sample count nor D
 _BLOCK_VALUES = 1 << 16
-# grid rows per integrand call: a (2^14, 5) tile is 640 KB, about one L2.
-# At least 128, numpy's pairwise-sum leaf, so a tile never cuts a leaf
+# rows per quadrature tile, and sizes nothing else: a (2^14, 5) tile is 640 KB,
+# about one L2.  At least 128, numpy's pairwise-sum leaf, so a tile never cuts a leaf
 _TILE_ELEMS = 1 << 14
 
 
@@ -68,6 +68,7 @@ class PointBatch:
     mus is computed from xs on first access and cached, so an integrand
     that reads xs alone never pays for it.  A pair radius is
     sqrt(x*x + y*y), within 1 ulp of hypot; unit rows cannot overflow.
+    One pass charts the whole batch, with one transient array the size of mus.
     """
 
     def __init__(self, D: int, xs: np.ndarray):
@@ -80,21 +81,12 @@ class PointBatch:
     @cached_property
     def mus(self) -> np.ndarray:
         xs, k = self.xs, (self.D + 1) // 2
-        mus = np.empty((len(xs), self.D // 2 + 1))
-        step = max(1, _TILE_ELEMS // k)  # rows per block; its y*y is the only temporary
-        # at even D the pair radii are k of the k + 1 columns of mus, a
-        # strided out that numpy writes row by row: they go to a contiguous
-        # block first
-        block = np.empty((min(step, len(xs)), k)) if self.D % 2 == 0 else None
-        for i in range(0, len(xs), step):
-            x, y = xs[i : i + step, 0 : 2 * k : 2], xs[i : i + step, 1 : 2 * k : 2]
-            pair = mus[i : i + step, :k] if block is None else block[: len(x)]
-            np.add(np.multiply(x, x, out=pair), y * y, out=pair)
-            np.sqrt(pair, out=pair)
-            if block is not None:
-                mus[i : i + step, :k] = pair
-                mus[i : i + step, k] = xs[i : i + step, self.D]
-        return mus
+        pair = np.square(xs[:, 0 : 2 * k : 2])
+        pair += np.square(xs[:, 1 : 2 * k : 2])
+        np.sqrt(pair, out=pair)
+        # at even D the pairs are k of the k + 1 columns, a strided out that
+        # numpy writes row by row: they are formed contiguous, then copied whole
+        return pair if self.D % 2 else np.column_stack([pair, xs[:, self.D]])
 
 
 class IntegrandError(ValueError):
@@ -130,13 +122,12 @@ def _chunk_rows(D: int) -> int:
     return min(_CHUNK, max(1, _CHUNK_VALUES // (D + 1)))
 
 
-def _iter_xs_chunks(D: int, config: MCConfig, rows: int | None = None) -> Iterator[np.ndarray]:
+def _iter_xs_blocks(D: int, config: MCConfig, rows: int | None = None) -> Iterator[np.ndarray]:
     # Gaussian direction trick: a standard normal vector normalized to unit
-    # length is uniform on the sphere; no rejection step needed.  Blocks of
-    # rows rows (default about _BLOCK_VALUES coordinates) are cut at every
-    # MC chunk boundary too.  The normal stream is row-major, so the block
-    # size moves no point: only mc_integrate's per-chunk sums depend on the
-    # chunk size.
+    # length is uniform on the sphere, no rejection step needed.  Blocks of
+    # rows rows (default about _BLOCK_VALUES coordinates) are also cut at
+    # every MC chunk boundary; the normal stream is row-major, so no block
+    # size moves a point.
     rng = np.random.default_rng(config.seed)
     chunk = _chunk_rows(D)
     rows = rows or max(1, _BLOCK_VALUES // (D + 1))
@@ -150,11 +141,11 @@ def _iter_xs_chunks(D: int, config: MCConfig, rows: int | None = None) -> Iterat
 
 
 def sample_batch(D: int, config: MCConfig) -> PointBatch:
-    """All requested samples as one PointBatch (same stream as mc_integrate)."""
+    """All samples as one PointBatch (mc_integrate's stream); .mus adds a mus-sized transient."""
     D = _check_D(D)
     xs = np.empty((config.samples, D + 1))
     i = 0
-    for block in _iter_xs_chunks(D, config):
+    for block in _iter_xs_blocks(D, config):
         xs[i : i + len(block)] = block
         i += len(block)
     return PointBatch(D, xs)
@@ -182,9 +173,9 @@ def mc_integrate(
     total = 0.0
     count = 0
     m2 = 0.0  # sum of squared deviations from total / count over the chunks so far
-    vals = np.empty(min(_chunk_rows(D), config.samples))  # one chunk's values
+    vals = np.empty(min(_chunk_rows(D), config.samples))  # the current chunk's values
     m = 0  # rows of the current chunk evaluated so far
-    for xs in _iter_xs_chunks(D, config):
+    for xs in _iter_xs_blocks(D, config):
         vals[m : m + len(xs)] = _values(f, PointBatch(D, xs), xs, count + m)
         m += len(xs)
         if m < min(len(vals), config.samples - count):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -796,6 +797,29 @@ def _run_module(argv):
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_a_stdout_that_cannot_be_written_is_one_error_line(target):
+    # a reader that has gone (EPIPE) or a full device (ENOSPC, which can
+    # surface only at the last flush): exit 1, one error line, no traceback
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full here")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    for argv in (["volume", "--D", "4"], ["volume", "--D", "4", "--json"],
+                 ["sample", "--D", "3", "--count", "2"]):
+        if target == "closed pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        else:
+            out = os.open(target, os.O_WRONLY)
+        try:
+            r = subprocess.run([sys.executable, "-m", "sphereint", *argv], stdout=out,
+                               stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src})
+        finally:
+            os.close(out)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (argv, r.stderr)
 
 
 def test_cli_byte_determinism():

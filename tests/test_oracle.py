@@ -150,18 +150,20 @@ def _chart(D, xs):
     return mus
 
 
-@pytest.mark.parametrize("D", [4, 5])
+@pytest.mark.parametrize("D", [1, 2, 4, 5, 8, 9, 16])
 def test_sample_batch_chart_matches_per_chunk_chart(D):
+    # one pass over the whole batch charts it as mc_integrate's blocks do,
+    # at both parities; at D = 16 a chunk holds fewer than _CHUNK rows
     config = MCConfig(seed=77, samples=_CHUNK + 5)
     batch = sample_batch(D, config)
-    chunks = list(oracle._iter_xs_chunks(D, config))  # mc_integrate's blocks
-    assert batch.xs.tobytes() == np.concatenate(chunks).tobytes()
-    assert batch.mus.tobytes() == np.concatenate([_chart(D, xs) for xs in chunks]).tobytes()
+    blocks = list(oracle._iter_xs_blocks(D, config))  # mc_integrate's blocks
+    assert batch.xs.tobytes() == np.concatenate(blocks).tobytes()
+    assert batch.mus.tobytes() == np.concatenate([_chart(D, xs) for xs in blocks]).tobytes()
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 9, 12, 40])
 def test_chart_is_within_an_ulp_of_hypot(D):
-    # 20,000 rows span more than one chart block at every D here
+    # 20,000 rows, charted in one pass over the whole batch
     batch = sample_batch(D, MCConfig(seed=500 + D, samples=20000))
     xs, mus, k = batch.xs, batch.mus, (D + 1) // 2
     reference = np.hypot(xs[:, 0 : 2 * k : 2], xs[:, 1 : 2 * k : 2])
@@ -497,12 +499,12 @@ def test_mc_working_set_is_one_block():
 
 
 def test_sample_batch_is_chunk_independent():
-    # the normal stream is row-major, so where the chunks split it moves no point
+    # the normal stream is row-major, so where the blocks split it moves no point
     config = MCConfig(seed=5, samples=200)
     whole = sample_batch(40, config).xs
     for rows in (1, 7, 64):
-        chunks = list(oracle._iter_xs_chunks(40, config, rows))
-        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        blocks = list(oracle._iter_xs_blocks(40, config, rows))
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 def test_quad_grid_memory_stays_bounded():
