@@ -12,8 +12,9 @@ _EXPORTS = {name: module for module, names in {
     "integrals": "dirichlet_abs dirichlet_abs_float dirichlet_signed mu_power_float "
                  "mu_power_integral poly_integrate reduction_rhs sphere_volume term_integral",
     "fluid": "FluidParams SeriesResult fluid_closed fluid_series gamma_power_values",
-    "oracle": "IntegrandError MCConfig OracleEstimate PointBatch mc_integrate monomial_values "
-              "mu_power_values polynomial_values quad_integrate sample_batch",
+    "oracle": "IntegrandError MCConfig PointBatch mc_integrate monomial_values mu_power_values "
+              "polynomial_values quad_integrate sample_batch",
+    "prodquad": "OracleEstimate quad_product",
 }.items() for name in names.split()}
 
 __all__ = [*_EXPORTS, "__version__"]

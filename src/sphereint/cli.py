@@ -13,7 +13,8 @@ Every input limit is refused before any integration runs; README's
 "Limits" table lists each one with the constant that holds it.
 --verify is a domain error (exit 2) on the n = 0 sphere, and --oracle quad
 is one for integrate-poly and odd signed dirichlet exponents, whose
-integrands are not radii-only.
+integrands are not radii-only.  Only Monte Carlo, the fluid quadrature and
+sample load numpy.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .integrals import (_FLOAT_MAX_REL_ERR, _MIN_QUAD_NODES, _check_D, _check_qu
 
 
 def _oracle():
-    """The oracle module, imported on first use: only the oracles need numpy."""
+    """The numpy oracle module, imported on first use."""
     try:
         from . import oracle
     except ImportError as e:  # the exact path runs without numpy; a refusal, not a traceback
-        raise _UsageError(f"--verify and sample need numpy, which did not import: {e}")
+        raise _UsageError(f"--verify and sample need numpy for Monte Carlo, the fluid quadrature "
+                          f"and sampling, and it did not import: {e}")
     return oracle
 
 
@@ -54,6 +56,11 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; 2 is reserved for domain errors
     def error(self, message):
         raise _UsageError(message)
+
+    # argparse drops an OSError from writing --help; main reports it instead
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def _bounded(kind, low, strict=False):
@@ -97,61 +104,78 @@ def _number_list(raw, missing: str):
     return out
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser; given a command name, only that subcommand gets its arguments.
+
+    Every subcommand is registered either way, so the usage, the command
+    list and an invalid choice read the same.
+    """
     parser = _Parser(prog="sphereint", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    # output flags for every command; oracle flags for the five that check a
-    # closed value (reduce checks itself, sample has no closed value)
-    out = _Parser(add_help=False)
-    out.add_argument("--json", action="store_true", help="emit one JSON report object")
-    out.add_argument("--digits", type=_bounded(int, 1), default=12,
-                     help="significant digits in text output")
-    check = _Parser(add_help=False, parents=[out])
-    check.add_argument("--verify", action="store_true", help="run a brute-force oracle and compare")
-    check.add_argument("--oracle", choices=("mc", "quad"), default="mc")
-    check.add_argument("--seed", type=_bounded(int, 0), default=0)
-    check.add_argument("--samples", type=_bounded(int, 1), default=100_000)
-    check.add_argument("--nodes", type=_bounded(int, _MIN_QUAD_NODES), default=32,
-                       help="quadrature nodes per axis")
-    check.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
-                       help="MC disagreement threshold")
-    dim = _Parser(add_help=False)  # the sphere dimension of the five commands on S^D
-    dim.add_argument("--D", type=int, required=True)
 
-    subs.add_parser("volume", parents=[check, dim], help="total volume of S^D")
+    def sub(name, help, check=True, dim=True):
+        """The subparser of name with its shared flags, or None when it is not built."""
+        p = subs.add_parser(name, help=help)
+        if command not in (None, name):
+            return None
+        # output flags for every command; oracle flags for the five that check a
+        # closed value (reduce checks itself, sample has no closed value)
+        p.add_argument("--json", action="store_true", help="emit one JSON report object")
+        p.add_argument("--digits", type=_bounded(int, 1), default=12,
+                       help="significant digits in text output")
+        if check:
+            p.add_argument("--verify", action="store_true",
+                           help="run a brute-force oracle and compare")
+            p.add_argument("--oracle", choices=("mc", "quad"), default="mc")
+            p.add_argument("--seed", type=_bounded(int, 0), default=0)
+            p.add_argument("--samples", type=_bounded(int, 1), default=100_000)
+            p.add_argument("--nodes", type=_bounded(int, _MIN_QUAD_NODES), default=32,
+                           help="quadrature nodes per axis")
+            p.add_argument("--sigma", type=_bounded(float, 0, strict=True), default=3.0,
+                           help="MC disagreement threshold")
+        if dim:  # the sphere dimension of the five commands on S^D
+            p.add_argument("--D", type=int, required=True)
+        return p
 
-    p = subs.add_parser("dirichlet", parents=[check], help="monomial integral over S^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", action="append", metavar="A[,A...]",
-                   help="one exponent per coordinate; repeat or comma-separate")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--signed", action="store_true", help="integrate prod x_j^a_j")
-    g.add_argument("--abs", dest="absolute", action="store_true",
-                   help="integrate prod |x_j|^a_j")
+    sub("volume", "total volume of S^D")
 
-    p = subs.add_parser("mu-power", parents=[check, dim],
-                        help="polar-radius power integral over S^D")
-    p.add_argument("--alpha", action="append", metavar="A[,A...]")
+    p = sub("dirichlet", "monomial integral over S^n", dim=False)
+    if p:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alpha", action="append", metavar="A[,A...]",
+                       help="one exponent per coordinate; repeat or comma-separate")
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--signed", action="store_true", help="integrate prod x_j^a_j")
+        g.add_argument("--abs", dest="absolute", action="store_true",
+                       help="integrate prod |x_j|^a_j")
 
-    p = subs.add_parser("reduce", parents=[out, dim],
-                        help="check the sphere-within-a-sphere reduction")
-    p.add_argument("--alpha", action="append", metavar="A[,A...]")
+    p = sub("mu-power", "polar-radius power integral over S^D")
+    if p:
+        p.add_argument("--alpha", action="append", metavar="A[,A...]")
 
-    p = subs.add_parser("fluid", parents=[check, dim],
-                        help="integral of the Lorentz factor power gamma^(D+1)")
-    p.add_argument("--omega", action="append", metavar="W[,W...]",
-                   help="one angular velocity per rotation circle")
-    p.add_argument("--series", action="store_true", help="also evaluate the truncated series")
-    p.add_argument("--kmax", type=_bounded(int, 0), default=30, help="series truncation order")
+    p = sub("reduce", "check the sphere-within-a-sphere reduction", check=False)
+    if p:
+        p.add_argument("--alpha", action="append", metavar="A[,A...]")
 
-    p = subs.add_parser("integrate-poly", parents=[check],
-                        help="integrate a polynomial file over S^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--file", required=True, help="one monomial per line: coeff e1 ... e_(n+1)")
+    p = sub("fluid", "integral of the Lorentz factor power gamma^(D+1)")
+    if p:
+        p.add_argument("--omega", action="append", metavar="W[,W...]",
+                       help="one angular velocity per rotation circle")
+        p.add_argument("--series", action="store_true",
+                       help="also evaluate the truncated series")
+        p.add_argument("--kmax", type=_bounded(int, 0), default=30,
+                       help="series truncation order")
 
-    p = subs.add_parser("sample", parents=[out, dim], help="dump uniform samples on S^D")
-    p.add_argument("--seed", type=_bounded(int, 0), default=0)
-    p.add_argument("--count", type=_bounded(int, 1), default=10)
+    p = sub("integrate-poly", "integrate a polynomial file over S^n", dim=False)
+    if p:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--file", required=True,
+                       help="one monomial per line: coeff e1 ... e_(n+1)")
+
+    p = sub("sample", "dump uniform samples on S^D", check=False)
+    if p:
+        p.add_argument("--seed", type=_bounded(int, 0), default=0)
+        p.add_argument("--count", type=_bounded(int, 1), default=10)
     return parser
 
 
@@ -265,10 +289,13 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
 
     --verify refuses D < 1 (the n = 0 sphere is two points) and refuses
     --oracle quad when no quad is given, so quadrature runs only with one.
-    quad is (sphere, f, scale): quadrature integrates f over the polar
-    radii of S^sphere, times scale.  mc_f maps a PointBatch on S^D and
-    defaults to quad's f on its radii.  terms is a polynomial's term
-    count, which the Monte Carlo budget multiplies in.
+    quad is (sphere, integrand, scale): quadrature integrates the
+    integrand over the polar radii of S^sphere, times scale.  A mu-power
+    product's integrand is its exponent tuple, integrated by the numpy-free
+    product rule at every D; any other is a function of the radii, which
+    only the tensor grid integrates.  mc_f maps a PointBatch on S^D and
+    defaults to quad's integrand on its radii.  terms is a polynomial's
+    term count, which the Monte Carlo budget multiplies in.
     """
     decimal, headline = _shown(closed, args.digits)
     lines = [headline]
@@ -279,13 +306,18 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
     inputs.update(oracle=args.oracle, seed=args.seed, samples=args.samples)
     if quad:
         inputs["nodes"] = args.nodes
+        sphere, integrand, scale = quad
     if args.oracle == "quad":
         if not quad:
             raise DomainError(f"{args.command} integrands are not radii-only, so quadrature "
                               "cannot check them; verify with --oracle mc")
-        sphere, f, scale = quad
-        _check_quad(sphere, args.nodes)  # before numpy loads
-        est = _oracle().quad_integrate(sphere, f, args.nodes)
+        if callable(integrand):
+            _check_quad(sphere, args.nodes)  # before numpy loads
+            est = _oracle().quad_integrate(sphere, integrand, args.nodes)
+        else:
+            from .prodquad import quad_product
+
+            est = quad_product(sphere, integrand, args.nodes)
         value, error = est.value * scale, est.error * scale
         sigma, limit = abs(decimal - value) / error, 1.0
     else:
@@ -296,8 +328,10 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
                 f"{work} may be at most {_MAX_MC_VALUES} coordinates"
             )
         oracle = _oracle()
-        est = oracle.mc_integrate(D, mc_f or (lambda b: quad[1](b.mus)),
-                                  oracle.MCConfig(args.seed, args.samples))
+        if mc_f is None:  # quad's integrand on the sampled radii
+            mc_f = ((lambda b: integrand(b.mus)) if callable(integrand)
+                    else (lambda b: oracle.monomial_values(b.mus, integrand)))
+        est = oracle.mc_integrate(D, mc_f, oracle.MCConfig(args.seed, args.samples))
         value, error = est.value, est.error
         sigma, limit = _sigma_of(abs(decimal - value), error, decimal), args.sigma
     lines += [f"oracle ({args.oracle}) = {_fmt(value, args.digits)} +- {error:.3g}",
@@ -307,8 +341,7 @@ def _closed(args, inputs, closed, D, quad=None, mc_f=None, terms=None) -> int:
 
 def _volume(args) -> int:
     # the constant 1 is the empty mu-power product
-    return _closed(args, {"D": args.D}, sphere_volume(args.D), args.D,
-                   (args.D, lambda mus: _oracle().monomial_values(mus, ()), 1.0))
+    return _closed(args, {"D": args.D}, sphere_volume(args.D), args.D, (args.D, (), 1.0))
 
 
 def _dirichlet(args) -> int:
@@ -321,15 +354,13 @@ def _dirichlet(args) -> int:
             and any(a % 2 for a in alphas)):
         raise DomainError("quadrature verifies |x| integrands only; an odd signed case is "
                           "exactly zero, check it with --oracle mc")
-    lifted = tuple(a - 1 for a in alphas)
     return _closed(
         args,
         {"n": args.n, "alpha": alphas, "mode": "signed" if args.signed else "abs"},
         closed,
         args.n,
         # quadrature route: lift to polar-radius powers a-1 on S^(2n+1)
-        (2 * args.n + 1, lambda mus: _oracle().monomial_values(mus, lifted),
-         math.pi ** -(args.n + 1)),
+        (2 * args.n + 1, tuple(a - 1 for a in alphas), math.pi ** -(args.n + 1)),
         mc_f=lambda b: _oracle().monomial_values(b.xs, alphas, absolute=not args.signed),
     )
 
@@ -337,7 +368,7 @@ def _dirichlet(args) -> int:
 def _mu_power(args) -> int:
     alphas = _number_list(args.alpha, "pass --alpha, one exponent per rotation circle")
     return _closed(args, {"D": args.D, "alpha": alphas}, mu_power_integral(args.D, alphas),
-                   args.D, (args.D, lambda mus: _oracle().monomial_values(mus, alphas), 1.0))
+                   args.D, (args.D, tuple(alphas), 1.0))
 
 
 # Monte Carlo on gamma^(D+1) <= F = (1 - max w^2)^(-(D+1)/2): as the mean is
@@ -484,13 +515,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first token that is no flag names the command: the top level has no valued flag
+    command = next((a for a in argv if not a.startswith("-")), "")
     try:
-        args = build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        try:
+            args = build_parser(command).parse_args(argv)
+            code = _COMMANDS[args.command](args)
+        except SystemExit as e:  # --help
+            code = int(e.code or 0)
         sys.stdout.flush()  # a full device may refuse only this last write
         return code
-    except SystemExit as e:  # --help
-        return int(e.code or 0)
     except (_UsageError, ValueError, TypeError, OverflowError) as e:  # Domain-, BudgetError too
         sys.stderr.write(f"error: {e}\n")
         return 1 if isinstance(e, (_UsageError, BudgetError)) else 2

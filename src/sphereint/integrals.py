@@ -60,17 +60,24 @@ def _check_D(D: int, low: int = 1) -> int:
 
 
 _MIN_QUAD_NODES = 8  # below it, |I(2N) - I(N)| can miss the error of I(2N)
-_MAX_QUAD_D = 9  # quadrature dimension is n, so this caps the grid at 4 axes
-# refined-grid budget: leggauss solves a 2N x 2N eigenproblem per axis, and
-# the grid holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
+# refined nodes per axis, 2N: a rule of 2N nodes costs O(N^2) to build
 _MAX_QUAD_AXIS_NODES = 2048
+# the tensor grid (quad_integrate): its dimension is n, so D <= 9 caps it at
+# 4 axes, and it holds (2N)^n nodes; 2^24 is the default N = 32 grid at D = 9
+_MAX_QUAD_D = 9
 _MAX_QUAD_GRID_NODES = 1 << 24
+# the product rule (quad_product): its refined pass sums n axes of 2N nodes
+_MAX_PRODUCT_NODES = 1 << 20
 
 
-def _check_quad(D: int, nodes_per_axis: int) -> int:
-    """Validate quad_integrate's arguments without numpy, so the CLI refuses first; returns D."""
+def _check_quad(D: int, nodes_per_axis: int, grid: bool = True) -> int:
+    """Validate a quadrature's arguments without numpy, so the CLI refuses first; returns D.
+
+    grid selects the tensor grid's limits (quad_integrate); without it,
+    the product rule's (quad_product), which has no cap on D.
+    """
     D = _check_D(D)
-    if D > _MAX_QUAD_D:
+    if grid and D > _MAX_QUAD_D:
         raise DomainError(
             f"quadrature grid supports D <= {_MAX_QUAD_D}, got D={D}; "
             "use mc_integrate for higher dimensions"
@@ -80,11 +87,13 @@ def _check_quad(D: int, nodes_per_axis: int) -> int:
     if nodes_per_axis < _MIN_QUAD_NODES:
         raise ValueError(f"nodes_per_axis must be >= {_MIN_QUAD_NODES}")
     refined, n = 2 * nodes_per_axis, D // 2
-    if refined > _MAX_QUAD_AXIS_NODES or refined ** n > _MAX_QUAD_GRID_NODES:
+    nodes, most, what = ((refined ** n, _MAX_QUAD_GRID_NODES, f"grid of {refined}^{n}") if grid
+                         else (n * refined, _MAX_PRODUCT_NODES, f"pass of {n} x {refined} axis"))
+    if refined > _MAX_QUAD_AXIS_NODES or nodes > most:
         raise BudgetError(
             f"nodes_per_axis {nodes_per_axis} on S^{D} is past the quadrature budget: "
-            f"its refined grid of {refined}^{n} nodes may have at most "
-            f"{_MAX_QUAD_AXIS_NODES} per axis and {_MAX_QUAD_GRID_NODES} in all"
+            f"its refined {what} nodes may have at most "
+            f"{_MAX_QUAD_AXIS_NODES} per axis and {most} in all"
         )
     return D
 

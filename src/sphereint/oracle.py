@@ -4,7 +4,8 @@ Uniform sampling on S^D, Monte Carlo integration, a deterministic nested
 Gauss-Legendre quadrature for integrands that depend only on the polar
 radii.  Everything here deliberately avoids the closed-form evaluators it
 is meant to check; even the Monte Carlo volume normalization uses its own
-log-Gamma float formula.
+log-Gamma float formula.  A mu-power product separates on the same chart;
+prodquad integrates it at every D without numpy.
 
 Reproducibility: the random stream is numpy's PCG64 as wrapped by
 numpy.random.default_rng(seed) (numpy >= 1.24), consumed in fixed-size
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -32,6 +32,7 @@ import numpy as np
 
 from .exactpi import _Frozen
 from .integrals import _check_D, _check_quad
+from .prodquad import OracleEstimate
 
 # rows per MC chunk, the unit of mc_integrate's sums; past D = 15 a chunk
 # holds fewer rows, at most _CHUNK_VALUES coordinates
@@ -95,17 +96,6 @@ class IntegrandError(ValueError):
     def __init__(self, message: str, row: np.ndarray):
         super().__init__(message)
         self.row = row
-
-
-class OracleEstimate(namedtuple("OracleEstimate", "value error samples_or_nodes")):
-    """Estimate plus its honesty bound.
-
-    The function that returns it sets what error means: the standard error
-    of the mean from mc_integrate, the node-refinement bound from
-    quad_integrate.  samples_or_nodes counts integrand evaluations.
-    """
-
-    __slots__ = ()
 
 
 def _volume_float(D: int) -> float:

@@ -1,14 +1,16 @@
 """Error-bar calibration: every reported error bound held against the truth.
 
 One seeded table per path that reports an error.  A row lands with the fix
-that makes its path's bound honest; the float kernel's, Monte Carlo's and
-the fluid series' rows are here.
+that makes its path's bound honest; the float kernel's, Monte Carlo's, the
+fluid series' and the product-rule quadrature's rows are here.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from sphereint.exactpi import to_float
 from sphereint.fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 from sphereint.integrals import dirichlet_abs, mu_power_float, mu_power_integral
 from sphereint.oracle import MCConfig, mc_integrate, monomial_values
+from sphereint.prodquad import quad_product
 
 
 def _float_cases():
@@ -157,3 +160,56 @@ def test_series_tail_bound_is_never_short(case):
         assert volume * tail <= Fraction(res.tail_bound) * (1 + Fraction(1, 10**12))
     if all(w == 0 for w in omegas):
         assert res.tail_bound == 0.0
+
+
+def _product_cases():
+    """Seeded mu-power products on S^D, D = 1..201.
+
+    Exponents from {-1, -0.5, 0, 0.5, 1, ..., 6}: both ends of the range,
+    fractional endpoint powers and integers, so that many axes carry large
+    sin powers at high D.
+    """
+    rng = random.Random(18)
+    exps = (-1, -0.5, 0, 0.5, 1, 2, 3, 4, 5, 6)
+    cases = []
+    while len(cases) < 400:
+        D = rng.randint(1, 201)
+        cases.append((D, tuple(rng.choice(exps) for _ in range((D + 1) // 2))))
+    return cases
+
+
+def _mu_power_truth(D, alphas):
+    """The mu-power integral, rounded once: the exact kernel, or mpmath for real exponents."""
+    if all(isinstance(a, int) for a in alphas):
+        return to_float(mu_power_integral(D, alphas))
+    with mpmath.workdps(30):
+        value = 2 * mpmath.pi ** (mpmath.mpf(D + 1) / 2) / mpmath.gamma(
+            (D + 1 + mpmath.fsum(alphas)) / mpmath.mpf(2))
+        for a in alphas:
+            value *= mpmath.gamma(1 + mpmath.mpf(a) / 2)
+        value = float(value)
+    if value < sys.float_info.min:
+        raise OverflowError("below the double range")
+    return value
+
+
+def test_product_rule_error_is_within_its_bound():
+    # I(2N) must sit within the reported bound at the floor N = 8, at the
+    # default 32 and at 64, up to D = 201: at N = 8 and high D every axis
+    # sum is short, so the passes differ from the truth far more than from
+    # each other, and only a bound that compounds the axes' gaps holds
+    looseness, checked = {}, 0
+    for D, alphas in _product_cases():
+        try:
+            truth = _mu_power_truth(D, alphas)
+        except OverflowError:  # outside the double range
+            continue
+        for N in (8, 32, 64):
+            est = quad_product(D, alphas, N)
+            error = abs(est.value - truth)
+            assert error <= est.error, (D, alphas, N, est, truth)
+            checked += 1
+            if error:
+                looseness.setdefault(N, []).append(est.error / error)
+    print(f"{checked} product-rule checks; median bound / error by N: "
+          + ", ".join(f"{N}: {sorted(v)[len(v) // 2]:.3g}" for N, v in looseness.items()))

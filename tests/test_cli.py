@@ -422,10 +422,14 @@ def test_exit_usage_errors(tmp_path, capsys):
         ["integrate-poly", "--n", "1", "--file", str(huge)],
         ["integrate-poly", "--n", "1", "--file", str(tiny)],
         ["sample", "--D", "2", "--seed", "-1"],
-        # quadrature grids past the budget
+        # quadratures past the budget: 2N per axis, the fluid tensor grid's
+        # (2N)^n and the product rule's n * 2N
         ["mu-power", "--D", "3", "--alpha", "2.5,0", "--verify", "--oracle", "quad",
          "--nodes", "100000"],
-        ["volume", "--D", "9", "--verify", "--oracle", "quad", "--nodes", "33"],
+        ["fluid", "--D", "9", "--omega", "0.1,0.1,0.1,0.1,0.1", "--verify", "--oracle", "quad",
+         "--nodes", "33"],
+        ["mu-power", "--D", "1027", "--alpha=" + ",".join(["-1"] * 514), "--verify",
+         "--oracle", "quad", "--nodes", "1024"],
         # an exact Gamma argument past the cap: its factorial would never finish
         ["mu-power", "--D", "3", "--alpha", "100000000,0"],
         # sample output past 2^20 coordinates: count * (D+1) = 2^20 + 4, and 10^9 + 1
@@ -528,7 +532,7 @@ def test_exit_domain_errors(capsys):
         ["fluid", "--D", "2", "--omega", "1"],
         ["dirichlet", "--n", "1", "--alpha", "1,1", "--signed", "--verify", "--oracle", "quad"],
         ["dirichlet", "--n", "0", "--alpha", "2", "--abs", "--verify"],
-        ["volume", "--D", "12", "--verify", "--oracle", "quad"],
+        ["fluid", "--D", "12", "--omega", "0.1,0.1,0.1,0.1,0.1,0.1", "--verify", "--oracle", "quad"],
         ["reduce", "--D", "2", "--alpha", "-2"],
         ["sample", "--D", "0"],
         ["fluid", "--D", "399", "--omega", ",".join(["0.995"] * 200)],  # prod (1 - w^2) too
@@ -675,7 +679,7 @@ def tracked_imports(tmp_path_factory):
     ]
     oracle = [
         ["volume", "--D", "4", "--verify", "--samples", "1000"],
-        ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--oracle", "quad"],
+        ["fluid", "--D", "2", "--omega", "0.6", "--verify", "--oracle", "quad"],
         ["sample", "--D", "2", "--count", "3"],
     ]
     return exact, oracle, _track(exact + oracle)
@@ -709,15 +713,29 @@ def test_exact_commands_do_not_import_numpy(tracked_imports):
 
 
 def test_quad_refusals_do_not_import_numpy():
-    # the quadrature's argument limits, and sample's row width, are checked
+    # the tensor grid's argument limits, and sample's row width, are checked
     # before the oracle loads
-    refused = [(["volume", "--D", "10", "--verify", "--oracle", "quad"], 2),
-               (["mu-power", "--D", "9", "--alpha", "1,1,1,1,1", "--verify", "--oracle", "quad",
-                 "--nodes", "33"], 1),
+    refused = [(["fluid", "--D", "10", "--omega", "0.1,0.1,0.1,0.1,0.1", "--verify",
+                 "--oracle", "quad"], 2),
+               (["fluid", "--D", "9", "--omega", "0.1,0.1,0.1,0.1,0.1", "--verify", "--oracle",
+                 "quad", "--nodes", "33"], 1),
                (["sample", "--D", "8192", "--count", "1"], 1),
                (["sample", "--D", "1048575", "--count", "1", "--json"], 1)]
     log = _track([argv for argv, _ in refused])
     assert [[code, "numpy" in after] for _, code, after in log] == [[c, False] for _, c in refused]
+
+
+def test_product_quadrature_does_not_import_numpy():
+    # volume, mu-power and dirichlet --abs quadrature runs the math-only
+    # product rule, at any D
+    argvs = [["mu-power", "--D", "7", "--alpha", "2,0,1,1", "--verify", "--oracle", "quad",
+              "--json"],
+             ["dirichlet", "--n", "2", "--alpha", "0.5,0,0", "--abs", "--verify", "--oracle",
+              "quad", "--json"],
+             ["volume", "--D", "41", "--verify", "--oracle", "quad"]]
+    log = _track(argvs)
+    assert [[code, "numpy" in after, "sphereint.prodquad" in after] for _, code, after in log] \
+        == [[0, False, True]] * len(argvs)
 
 
 _NO_NUMPY = """
@@ -799,27 +817,44 @@ def _run_module(argv):
     )
 
 
+def _run_into(target, argv, **env):
+    """`python -m sphereint argv` with stdout a pipe whose reader has gone, or target."""
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full here")
+    if target == "closed pipe":
+        read_end, out = os.pipe()
+        os.close(read_end)
+    else:
+        out = os.open(target, os.O_WRONLY)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    try:
+        return subprocess.run([sys.executable, "-m", "sphereint", *argv], stdout=out,
+                              stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src, **env})
+    finally:
+        os.close(out)
+
+
 @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
 def test_a_stdout_that_cannot_be_written_is_one_error_line(target):
     # a reader that has gone (EPIPE) or a full device (ENOSPC, which can
     # surface only at the last flush): exit 1, one error line, no traceback
-    if target == "/dev/full" and not os.path.exists(target):
-        pytest.skip("no /dev/full here")
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     for argv in (["volume", "--D", "4"], ["volume", "--D", "4", "--json"],
                  ["sample", "--D", "3", "--count", "2"]):
-        if target == "closed pipe":
-            read_end, out = os.pipe()
-            os.close(read_end)
-        else:
-            out = os.open(target, os.O_WRONLY)
-        try:
-            r = subprocess.run([sys.executable, "-m", "sphereint", *argv], stdout=out,
-                               stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": src})
-        finally:
-            os.close(out)
+        r = _run_into(target, argv)
         assert r.returncode == 1, (argv, r.stderr)
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (argv, r.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_help_into_a_stdout_that_cannot_be_written_is_one_error_line(target, unbuffered):
+    # argparse writes --help itself and drops an OSError from that write;
+    # buffered, the write succeeds and only main's last flush fails
+    for argv in (["--help"], ["volume", "--help"]):
+        r = _run_into(target, argv, PYTHONUNBUFFERED=unbuffered)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert r.stderr.startswith("error: cannot write the output") \
+            and r.stderr.count("\n") == 1, (argv, r.stderr)
 
 
 def test_cli_byte_determinism():

@@ -12,14 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphereint import oracle
+from sphereint import exactpi, integrals, oracle, prodquad
 from sphereint.exactpi import DomainError, PiRational, to_float
 from sphereint.fluid import FluidParams, fluid_closed, gamma_power_values
 from sphereint.integrals import (
     _MAX_QUAD_AXIS_NODES,
     _MAX_QUAD_GRID_NODES,
+    _MAX_PRODUCT_NODES,
     _MIN_QUAD_NODES,
     mu_power_float,
+    mu_power_integral,
     poly_integrate,
     sphere_volume,
 )
@@ -36,6 +38,7 @@ from sphereint.oracle import (
     sample_batch,
     _axis_data,
 )
+from sphereint.prodquad import quad_product
 
 
 def test_config_validation():
@@ -568,6 +571,59 @@ def test_quad_refuses_a_grid_past_its_budget():
     # the largest grids inside the budget still run
     assert quad_integrate(2, f, nodes_per_axis=1024).value == pytest.approx(4 * math.pi)
     assert quad_integrate(9, f, nodes_per_axis=32).samples_or_nodes == 32**4 + 64**4
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+def test_product_rule_matches_the_tensor_grid(D):
+    # the tensor sum of a separable integrand is the product of its axis sums
+    k = (D + 1) // 2
+    for alphas in ((0,) * k, (2, 0, 1, 1, 3)[:k], (2.5, -1, 0.5, 6, -0.5)[:k]):
+        grid = quad_integrate(D, lambda mus: mu_power_values(mus, alphas), 32)
+        product = quad_product(D, alphas, 32)
+        assert abs(product.value - grid.value) <= 1e-14 * grid.value, alphas
+        assert product.error >= abs(product.value - mu_power_float(D, alphas)), alphas
+
+
+def test_product_rule_calls_no_gamma_or_closed_form(monkeypatch):
+    # it checks the closed forms, so it may share only argument checks with them
+    closed = {"_gamma_quotient", "_lgamma_log", "_lgamma_quotient", "gamma_half", "to_float",
+              "sphere_volume", "dirichlet_signed", "dirichlet_abs", "dirichlet_abs_float",
+              "mu_power_integral", "mu_power_float", "reduction_rhs", "term_integral",
+              "poly_integrate"}
+    assert not closed & set(vars(prodquad))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gamma function or closed form was called")
+
+    for module in (integrals, exactpi):
+        for name in closed & set(vars(module)):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(math, "gamma", refuse)
+    monkeypatch.setattr(math, "lgamma", refuse)
+    prodquad._chart.cache_clear()
+    assert quad_product(9, (2, 0, 1, 0.5, -1), 16).value > 0
+    assert quad_product(40, (), 8).value > 0
+
+
+def test_product_rule_refuses_past_its_budget_before_any_work():
+    # 2N per axis as for the grid, and n * 2N in all, at any D
+    prodquad._chart.cache_clear()
+    one_axis_past = 2 * (_MAX_PRODUCT_NODES // 16) + 2  # at 2N = 16
+    for D, nodes in ((3, 1025), (1027, 1024), (one_axis_past, 8)):
+        with pytest.raises(ValueError, match="past the quadrature budget"):
+            quad_product(D, (), nodes)
+    with pytest.raises(ValueError):
+        quad_product(3, (2, 0), _MIN_QUAD_NODES - 1)
+    with pytest.raises(DomainError):
+        quad_product(3, (-1.5, 0))
+    assert prodquad._chart.cache_info().currsize == 0
+    # the largest pass inside the budget runs, and its 512 axis sums keep the
+    # bound honest through their roundoff floor; below the double range is refused
+    est = quad_product(1025, (-1,) * 513, 1024)
+    assert est.samples_or_nodes == 3 * 1024 * 512
+    assert abs(est.value - to_float(mu_power_integral(1025, (-1,) * 513))) <= est.error
+    with pytest.raises(OverflowError):
+        quad_product(1025, (), 32)
 
 
 def _largest_nodes(D):
