@@ -145,10 +145,13 @@ def fluid_series(params: FluidParams, truncation_order: int) -> SeriesResult:
 
 def gamma_power_values(mus, params: FluidParams):
     """Vectorized gamma^(D+1) for the oracle integrators; mus is (M, n+1)."""
+    import numpy as np  # loaded already: mus is an array
+
     k = len(params.omegas)
     # 1 - v^2 built in the matmul result: negating the weights negates every
     # rounded product and sum exactly, so -v^2 + 1 is the bits of 1 - v^2
     out = (mus[:, :k] ** 2) @ [-w * w for w in params.omegas]
     out += 1.0
-    out **= -0.5 * (params.D + 1)
-    return out
+    # float_power runs libm's pow at every SIMD level; np.power's AVX-512
+    # kernel rounds 1-28 % of these values otherwise, so the bits would follow the CPU
+    return np.float_power(out, -0.5 * (params.D + 1), out=out)

@@ -80,7 +80,7 @@ def _check_quad(D: int, nodes_per_axis: int, grid: bool = True) -> int:
     if grid and D > _MAX_QUAD_D:
         raise DomainError(
             f"quadrature grid supports D <= {_MAX_QUAD_D}, got D={D}; "
-            "use mc_integrate for higher dimensions"
+            "use mc_integrate (--oracle mc) for higher dimensions"
         )
     if isinstance(nodes_per_axis, bool) or not isinstance(nodes_per_axis, int):
         raise TypeError("nodes_per_axis must be an integer")

@@ -15,9 +15,9 @@ about 2**16 coordinates, which move no bit: only the chunk sets the sums.
 The same (seed, samples, integrand, D) therefore reproduces the estimate
 bit-for-bit on one platform.  The quadrature sums each theta_1 row of its
 grid with numpy's pairwise sum, a row wider than a tile from leaf tiles
-added along that same pairwise tree, and adds the row sums in theta_1
-order, an order fixed by the grid alone, independent of the tile size and
-the BLAS thread count.
+added along that same pairwise tree, and adds the row sums in the rule's
+node order, an order fixed by the grid alone, independent of the tile size
+and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .exactpi import _Frozen
 from .integrals import _check_D, _check_quad
-from .prodquad import OracleEstimate
+from .prodquad import OracleEstimate, _chart
 
 # rows per MC chunk, the unit of mc_integrate's sums; past D = 15 a chunk
 # holds fewer rows, at most _CHUNK_VALUES coordinates
@@ -191,55 +191,27 @@ def mc_integrate(
 
 @lru_cache(maxsize=None)
 def _axis_data(D: int, npoints: int):
-    """Per-axis nodes and weights for the nested-angle chart of the mu sphere.
+    """Per-axis (cos, sin, weight) arrays of the tensor grid, chain position 1 first.
 
-    The polar radii trace the part of S^n with mu_1..mu_{n+eps} >= 0 (the
-    unpaired mu_{n+1} keeps its sign for even D).  Chart, chain position k
-    running over the n angles theta_k:
-
-        pos_1 = cos(theta_1),  pos_k = sin(theta_1)...sin(theta_{k-1}) cos(theta_k),
-        pos_{n+1} = sin(theta_1)...sin(theta_n)
-
-    For odd D the positions are mu_1..mu_{n+1} in order and every angle runs
-    over [0, pi/2]; for even D position 1 is the sign-carrying mu_{n+1}, so
-    theta_1 runs over [0, pi] and positions 2..n+1 are mu_1..mu_n.  Each
-    axis weight collects the surface measure sin^(n-i), the Killing-angle
-    Jacobian factor mu_j for each weighted radius (the cos factor on every
-    axis but a full-range one), and the substitution derivative.
-
-    Each angle is its range times t(s), s a Gauss-Legendre node on [0,1]
-    and t(s) = 10 s^3 - 15 s^4 + 6 s^5 the quintic smootherstep, with
-    t'(s) = 30 s^2 (1-s)^2 vanishing to second order at both ends.  A
-    fractional endpoint factor u^a (u the distance to the end) becomes
-    s^(3a+2) under the substitution, regular enough for fast Gauss-Legendre
-    convergence even for the a in (0, 1) that real exponents down to -1
-    produce after the mu_j measure shift; integer-exponent integrands stay
-    analytic.  The table is the quadrature's one cache, keyed by
-    (D, npoints), so its arrays are read-only.  It builds its own
-    Gauss-Legendre rule: a run's two passes differ in npoints, so a rule
-    cached per npoints alone would not be reused within a run.
+    Axis i takes prodquad._chart's nodes on its range (the full range for
+    the even-D theta_1) in the rule's node order, and the weight
+    w * cos * sin^(2n+1-2i): the rule's weight with the chart's measure and
+    Jacobian factors, no cos on a full-range axis.  It is built in Python
+    floats before the axis becomes arrays, so no numpy kernel sets its
+    bits.  The table is the quadrature's one cache, keyed by
+    (D, npoints), so its arrays are read-only.
     """
     n = D // 2
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    s = 0.5 * (x + 1.0)
-    # rounding lifts t past 1 at some npoints (555 is the smallest); clip it,
-    # or theta would leave its axis and cos(theta) turn negative
-    t = np.clip(s * s * s * (10.0 - 15.0 * s + 6.0 * s * s), 0.0, 1.0)
-    w01 = 0.5 * w * (30.0 * s * s * (1.0 - s) ** 2)
     axes = []
     for i in range(1, n + 1):
         full_range = D % 2 == 0 and i == 1
-        length = math.pi if full_range else 0.5 * math.pi
-        theta = length * t
-        cos = np.cos(theta)
-        sin = np.sin(theta)
-        weight = length * w01
-        if not full_range:
-            weight = weight * cos
-        weight = weight * sin ** (2 * n + 1 - 2 * i)
-        for a in (cos, sin, weight):
+        cos, sin, w = _chart(npoints)[full_range]
+        jac, m = (0 if full_range else 1), 2 * n + 1 - 2 * i
+        weight = [wk * c ** jac * s ** m for c, s, wk in zip(cos, sin, w)]
+        axis = tuple(np.array(a) for a in (cos, sin, weight))
+        for a in axis:
             a.flags.writeable = False
-        axes.append((cos, sin, weight))
+        axes.append(axis)
     return tuple(axes)
 
 
@@ -330,7 +302,7 @@ def _quad_tensor(D: int, f, npoints: int) -> float:
         # depends on its values alone, whatever the tile size or the BLAS
         # thread count
         row_sums[rows] = _pairwise_sum(lambda a, b: leaf_sum(rows, a, b), inner_size, _TILE_ELEMS)
-    # the row sums in theta_1 order: accumulate adds strictly left to right
+    # the row sums in the rule's node order: accumulate adds strictly left to right
     total = float(np.add.accumulate(w0 * row_sums)[-1])
     return (2.0 * math.pi) ** ((D + 1) // 2) * total
 

@@ -1,8 +1,30 @@
-"""A product-rule quadrature for polar-radius powers over S^D, with math alone.
+"""The package's Gauss-Legendre rule and nested-angle chart, and a product-rule
+quadrature of polar-radius powers over S^D with math alone.
 
-On the nested-angle chart of the mu sphere (oracle._axis_data has it in
-full) chain position k is sin(theta_1)...sin(theta_(k-1)) cos(theta_k),
-so a mu-power product separates into one factor per angle:
+The chart: the polar radii trace the part of S^n with mu_1..mu_(n+eps) >= 0
+(the unpaired mu_(n+1) keeps its sign for even D).  Chain position k runs
+over the n angles theta_k:
+
+    pos_1 = cos(theta_1),  pos_k = sin(theta_1)...sin(theta_(k-1)) cos(theta_k),
+    pos_(n+1) = sin(theta_1)...sin(theta_n)
+
+For odd D the positions are mu_1..mu_(n+1) in order and every angle runs
+over [0, pi/2]; for even D position 1 is the sign-carrying mu_(n+1), so
+theta_1 runs over [0, pi] and positions 2..n+1 are mu_1..mu_n.  Axis k
+carries the surface measure sin^(n-k) and, from the Killing-angle Jacobian
+factor mu_j of each weighted radius, the cos of its own position (none on
+a full-range axis) and one sin for each later position.  Each angle is its
+range times t(s), s a Gauss-Legendre node on [0, 1] and
+t(s) = 10 s^3 - 15 s^4 + 6 s^5 the quintic smootherstep, with
+t'(s) = 30 s^2 (1-s)^2 vanishing to second order at both ends.  A
+fractional endpoint factor u^a (u the distance to the end) becomes
+s^(3a+2) under the substitution, regular enough for fast Gauss-Legendre
+convergence even for the a in (0, 1) that real exponents down to -1
+produce after the mu_j measure shift; integer-exponent integrands stay
+analytic.  _chart is the package's one rule: oracle._axis_data builds the
+tensor grid's axes from it.
+
+A mu-power product separates on the chart into one factor per angle:
 
     prod_j mu_j^(a_j) = prod_k cos^(p_k)(theta_k) sin^(B_k)(theta_k),
 
@@ -11,8 +33,7 @@ after it.  The tensor Gauss-Legendre sum of such an integrand is exactly
 the product of the n = D // 2 one-dimensional sums over the same nodes and
 weights, so a pass costs n * N powers instead of N^n integrand values, at
 every D.  The nodes come from Newton's method on the Legendre recurrence
-and each axis sum from one math.fsum, so nothing here loads numpy; the
-chart and the smootherstep substitution are the tensor grid's.
+and each axis sum from one math.fsum, so nothing here loads numpy.
 The rule evaluates no Gamma function and calls no closed form: it checks
 them.  Its bits come from the platform's libm (cos, sin, pow).
 """
@@ -58,15 +79,15 @@ def _chart(npoints: int) -> tuple:
     The Gauss-Legendre roots are found by Newton's method from Tricomi's
     estimate, one of each +-x pair; a root's weight is 2 / ((1 - x^2)
     P_N'(x)^2) at the converged root.  On s = (x + 1) / 2 in [0, 1] the
-    angle is its axis length times t(s), t the quintic smootherstep of
-    oracle._axis_data, and the weight takes t'(s) and the length.  Each
-    pair is built from its node u = (1 - x) / 2 <= 1/2, exact for x >= 1/2,
-    and mirrored: t(1 - u) = 1 - t(u), so the mirror node's cos and sin on
-    [0, pi/2] are the sin and cos of u's angle, and its sin on [0, pi] is
-    the same.  So t is taken only where it stays below 1/2, and no rounding
-    moves a node past the end of its axis, which oracle._axis_data clips;
-    a node near an end keeps its small cos or sin to full relative
-    precision.
+    angle is its axis length times t(s), t the chart's smootherstep, and
+    the weight takes t'(s) and the length.  Each pair is built from its
+    node u = (1 - x) / 2 <= 1/2, exact for x >= 1/2, and mirrored:
+    t(1 - u) = 1 - t(u), so the mirror node's cos and sin on [0, pi/2] are
+    the sin and cos of u's angle, and its sin on [0, pi] is the same.  So
+    t is taken only where it stays below 1/2, no rounding moves a node past
+    the end of its axis, and a node near an end keeps its small cos or sin
+    to full relative precision.  The node order is the middle root first
+    at odd npoints, then each pair, u before its mirror.
     """
     terms = [(2.0 * k - 1.0, k - 1.0, float(k)) for k in range(2, npoints + 1)]
     roots = [(0.0, 2.0 / _legendre(terms, 0.0)[1] ** 2)] if npoints % 2 else []

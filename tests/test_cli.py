@@ -648,7 +648,7 @@ def test_verify_mc_paths(capsys):
 _TRACK_IMPORTS = """
 import contextlib, io, json, sys
 sys.path += [p for p in json.loads(sys.argv[2]) if p not in sys.path]
-TRACKED = {"numpy", "mpmath", "dataclasses", "inspect", "typing"}
+TRACKED = {"numpy", "numpy.polynomial", "mpmath", "dataclasses", "inspect", "typing"}
 def loaded():
     return sorted(m for m in sys.modules if m in TRACKED or m.startswith("sphereint."))
 import sphereint
@@ -769,6 +769,14 @@ def test_exact_commands_load_no_dataclasses_inspect_or_typing(tracked_imports):
     heavy = {"dataclasses", "inspect", "typing", "numpy"}
     assert [[argv, sorted(heavy & set(after))] for argv, (_, _, after) in zip(exact, log)
             if heavy & set(after)] == []
+
+
+def test_no_command_loads_numpy_polynomial(tracked_imports):
+    # both quadratures take their Gauss-Legendre rule from prodquad, so the
+    # tensor grid of `fluid --oracle quad` needs no leggauss either
+    exact, oracle, log = tracked_imports
+    assert [argv for argv, (_, _, after) in zip(exact + oracle, log)
+            if "numpy.polynomial" in after] == []
 
 
 def test_only_fluid_commands_load_fluid(tracked_imports):

@@ -332,14 +332,14 @@ def test_quad_cross_checks_mc():
         # the grid's last bits, pinned.  The fluid integrand sums across the
         # mu columns in a BLAS matvec, whose rounding follows the tile's
         # memory layout, so a change of layout can move these by an ulp
-        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63dep+5", "0x1.0c96bc3eb3f3ep-18"),
-        ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036bcfp+5", "0x1.766c2bbfc657cp-17"),
+        ("fluid", 5, (0.6, 0.1, 0.3), 17, "0x1.ae3667a7b63c6p+5", "0x1.0c96bb6eb3f3ep-18"),
+        ("fluid", 7, (0.3, 0.3, 0.6, 0.1), 17, "0x1.ef12fcf036babp+5", "0x1.766c2c6bc657cp-17"),
         # even D: the sign-carrying chain position is the last mu column
-        ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f336p-1", "0x1.9feaeca4597cfp-2"),
+        ("mu", 8, (2, 0, 1, 1), 8, "0x1.dde2e4b41f31cp-1", "0x1.9feaeca459797p-2"),
         # refined inner grids past one tile: 32^3 rows in two even cuts, and
         # 34^3 rows in three uneven ones
-        ("mu", 9, (2, 0, 1, 1, 0), 16, "0x1.55d3c7e3cc022p-1", "0x1.b10894e3f1654p-15"),
-        ("fluid", 8, (0.3, 0.2, 0.4, 0.1), 17, "0x1.46e7f776d3490p+5", "0x1.1e49aea6a2466p-5"),
+        ("mu", 9, (2, 0, 1, 1, 0), 16, "0x1.55d3c7e3cc048p-1", "0x1.b10894e2ed654p-15"),
+        ("fluid", 8, (0.3, 0.2, 0.4, 0.1), 17, "0x1.46e7f776d346ep+5", "0x1.1e49aea6aa866p-5"),
     ],
     # ids without the pinned bits, so a deliberate re-capture keeps the names
     ids=["fluid-D5-N17", "fluid-D7-N17", "mu-D8-N8", "mu-D9-N16", "fluid-D8-N17"],
@@ -382,6 +382,39 @@ def test_quad_bits_do_not_depend_on_the_blas_threads():
     assert len(outputs[0].split()) == 4
 
 
+_AXIS_TABLE_CHILD = """
+import hashlib
+from numpy._core._multiarray_umath import __cpu_features__
+from sphereint.oracle import _axis_data
+table = hashlib.sha256()
+for D in range(2, 10):
+    for npoints in (16, 17, 32, 64, 555):
+        for array in (a for axis in _axis_data(D, npoints) for a in axis):
+            table.update(array.tobytes())
+print(table.hexdigest(), *(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                           if __cpu_features__.get(f)))
+"""
+
+
+def test_quad_axis_table_does_not_depend_on_the_simd_level():
+    # the table's bits come from math alone: the same bytes in a fresh
+    # process with numpy's AVX-512 kernels and with them masked, as CI masks
+    # them (only the features numpy reports present; none on an AVX2 host)
+    src = str(pathlib.Path(oracle.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def table(child_env):
+        r = subprocess.run([sys.executable, "-c", _AXIS_TABLE_CHILD], capture_output=True,
+                           text=True, env=child_env)
+        assert r.returncode == 0, r.stderr
+        return r.stdout.split()
+
+    unmasked, *features = table(env)
+    masked, *_ = table(dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(features)))
+    assert masked == unmasked
+
+
 def test_quad_bits_do_not_depend_on_the_tile_size(monkeypatch):
     # D = 9, N = 16 has 16^3 and 32^3 nodes per theta_1 row: tiles of 2^8
     # cut every row, 2^14 holds four coarse rows or half a refined one, and
@@ -395,7 +428,7 @@ def test_quad_bits_do_not_depend_on_the_tile_size(monkeypatch):
                         ("fluid", lambda mus: gamma_power_values(mus, fluid))):
             est = quad_integrate(9, f, nodes_per_axis=16)
             bits[kind].add((est.value.hex(), est.error.hex()))
-    assert bits["mu"] == {("0x1.55d3c7e3cc022p-1", "0x1.b10894e3f1654p-15")}
+    assert bits["mu"] == {("0x1.55d3c7e3cc048p-1", "0x1.b10894e2ed654p-15")}
     assert len(bits["fluid"]) == 1
 
 
@@ -527,8 +560,8 @@ def test_quad_grid_memory_stays_bounded():
 
 
 def test_quad_nodes_stay_on_their_axis():
-    # unclipped, the smootherstep rounds past 1 at some node counts from 555
-    # on, and a fractional power of the then negative cos(theta) is NaN
+    # a node past the end of its axis would turn its cos(theta) negative,
+    # and a fractional power of it NaN
     for npoints in (300, 555, 600, 1024):
         for cos, sin, _ in _axis_data(5, npoints):
             assert cos.min() >= 0.0 and sin.min() >= 0.0
@@ -560,8 +593,7 @@ def test_quad_refuses_high_dim_and_bad_nodes():
 
 
 def test_quad_refuses_a_grid_past_its_budget():
-    # refused before any node is built: leggauss(100000), the coarse pass
-    # alone, would need a 75 GiB companion matrix
+    # refused before any node is built
     calls = []
     f = lambda mus: calls.append(len(mus)) or np.ones(mus.shape[0])
     for D, nodes in ((3, 100_000), (2, 1025), (9, 33), (7, 129)):
@@ -580,7 +612,7 @@ def test_product_rule_matches_the_tensor_grid(D):
     for alphas in ((0,) * k, (2, 0, 1, 1, 3)[:k], (2.5, -1, 0.5, 6, -0.5)[:k]):
         grid = quad_integrate(D, lambda mus: mu_power_values(mus, alphas), 32)
         product = quad_product(D, alphas, 32)
-        assert abs(product.value - grid.value) <= 1e-14 * grid.value, alphas
+        assert abs(product.value - grid.value) <= 2e-15 * grid.value, alphas
         assert product.error >= abs(product.value - mu_power_float(D, alphas)), alphas
 
 
