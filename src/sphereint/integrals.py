@@ -169,9 +169,12 @@ def _lgamma_quotient(m: int, c: int, alphas: Sequence[Number], base: int) -> flo
     """
     log, bound = _lgamma_log(m, c, alphas, base)
     if bound > _FLOAT_MAX_REL_ERR:
+        # the fewest digits, at least 2, whose text reads above the limit
+        shown = next(t for d in range(2, 18)
+                     if float(t := f"{bound:.{d}g}") > _FLOAT_MAX_REL_ERR)
         raise DomainError(
             f"the floating path's log-Gamma terms cancel: its relative error "
-            f"could reach {bound:.2g}, above {_FLOAT_MAX_REL_ERR:g}"
+            f"could reach {shown}, above {_FLOAT_MAX_REL_ERR:g}"
         )
     out = math.exp(log)
     if out < sys.float_info.min:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .exactpi import _Frozen
 from .integrals import _check_D, _check_quad
-from .prodquad import OracleEstimate, _chart
+from .prodquad import OracleEstimate, _axes
 
 # rows per MC chunk, the unit of mc_integrate's sums; past D = 15 a chunk
 # holds fewer rows, at most _CHUNK_VALUES coordinates
@@ -152,7 +152,8 @@ def mc_integrate(
     its own row alone: it is called once per block of about 2^16
     coordinates, and a block never spans two chunks.  The value is
     V_D * mean(f); error is V_D times the sample standard error of the
-    mean (zero for a constant integrand).  The variance comes from
+    mean (zero for a constant integrand), or math.inf from one sample,
+    which measures no spread.  The variance comes from
     per-chunk centred sums of squares merged by the pairwise update of
     Chan, Golub and LeVeque (1983), so a large mean cannot cancel it away.
     Raises OverflowError, before sampling, when V_D is below the normal
@@ -181,7 +182,7 @@ def mc_integrate(
         count += m
         m = 0
     mean = total / count
-    std_err = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    std_err = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
     return OracleEstimate(
         value=vol * mean,
         error=vol * std_err,
@@ -193,24 +194,17 @@ def mc_integrate(
 def _axis_data(D: int, npoints: int):
     """Per-axis (cos, sin, weight) arrays of the tensor grid, chain position 1 first.
 
-    Axis i takes prodquad._chart's nodes on its range (the full range for
-    the even-D theta_1) in the rule's node order, and the weight
-    w * cos * sin^(2n+1-2i): the rule's weight with the chart's measure and
-    Jacobian factors, no cos on a full-range axis.  It is built in Python
-    floats before the axis becomes arrays, so no numpy kernel sets its
-    bits.  The table is the quadrature's one cache, keyed by
-    (D, npoints), so its arrays are read-only.
+    Axis k's weight is w * cos^a * sin^b from prodquad._axes' row for it,
+    built in Python floats before the axis becomes arrays, so no numpy
+    kernel sets its bits.  The table is the quadrature's one cache, keyed
+    by (D, npoints), so its arrays are read-only.
     """
-    n = D // 2
     axes = []
-    for i in range(1, n + 1):
-        full_range = D % 2 == 0 and i == 1
-        cos, sin, w = _chart(npoints)[full_range]
-        jac, m = (0 if full_range else 1), 2 * n + 1 - 2 * i
-        weight = [wk * c ** jac * s ** m for c, s, wk in zip(cos, sin, w)]
-        axis = tuple(np.array(a) for a in (cos, sin, weight))
-        for a in axis:
-            a.flags.writeable = False
+    for cos, sin, w, a, b in _axes(D, npoints)[0]:
+        weight = [wk * c ** a * s ** b for c, s, wk in zip(cos, sin, w)]
+        axis = tuple(np.array(x) for x in (cos, sin, weight))
+        for x in axis:
+            x.flags.writeable = False
         axes.append(axis)
     return tuple(axes)
 
@@ -254,12 +248,10 @@ def _quad_tensor(D: int, f, npoints: int) -> float:
     n = D // 2
     (cos0, sin0, w0), *inner_axes = _axis_data(D, npoints)
     inner_size = npoints ** (n - 1)
-    # the mu column of chain position 1, cos(theta_1): the first for odd D;
-    # for even D, where position 1 is the sign-carrying mu_{n+1}, the last
-    cos_column = 0 if D % 2 == 1 else n
-    # the mu columns of chain positions 2..n+1, which carry a sin(theta_1)
-    # factor, a contiguous run
-    scaled = slice(1, n + 1) if D % 2 == 1 else slice(0, n)
+    # chain position 1 holds cos(theta_1); the mu columns of positions
+    # 2..n+1, which carry a sin(theta_1) factor, are a contiguous run
+    cos_column, *scaled = _axes(D, npoints)[1]
+    scaled = slice(scaled[0], scaled[-1] + 1)
     # the inner grid, built in place one axis at a time: template row c
     # holds chain position c + 2 without its sin(theta_1) factor, the last
     # row the running sin product, and w_inner the weight product

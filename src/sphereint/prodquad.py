@@ -21,8 +21,8 @@ fractional endpoint factor u^a (u the distance to the end) becomes
 s^(3a+2) under the substitution, regular enough for fast Gauss-Legendre
 convergence even for the a in (0, 1) that real exponents down to -1
 produce after the mu_j measure shift; integer-exponent integrands stay
-analytic.  _chart is the package's one rule: oracle._axis_data builds the
-tensor grid's axes from it.
+analytic.  _chart is the package's one rule and _axes its one chart:
+oracle._axis_data builds the tensor grid's axes from them.
 
 A mu-power product separates on the chart into one factor per angle:
 
@@ -115,6 +115,19 @@ def _chart(npoints: int) -> tuple:
     return (c, s, [0.5 * math.pi * w for w in w01]), (cf, sf, [math.pi * w for w in w01])
 
 
+def _axes(D: int, npoints: int) -> tuple:
+    """The chart's axes theta_1..theta_n and the mu column of each chain position, in chain order.
+
+    Axis k is (cos, sin, weight, a, b): _chart's nodes on its range and the
+    cos^a sin^b that the chart's Jacobian and measure put on it.
+    """
+    n, even = D // 2, D % 2 == 0
+    charts = _chart(npoints)
+    axes = tuple((*charts[even and k == 1], 0 if even and k == 1 else 1, 2 * n + 1 - 2 * k)
+                 for k in range(1, n + 1))
+    return axes, (n, *range(n)) if even else tuple(range(n + 1))
+
+
 def _axis_sum(cos, sin, weight, a, b) -> float:
     """One axis's sum of w * cos^a * sin^b, exponents combined before the power.
 
@@ -126,20 +139,12 @@ def _axis_sum(cos, sin, weight, a, b) -> float:
 
 def _axis_sums(D: int, alphas: tuple, npoints: int) -> list:
     """The n one-dimensional sums of one pass, the last axis first."""
-    n = D // 2
-    # chain positions 1..n+1 are mu_1..mu_(n+1) at odd D; at even D position
-    # 1 is the unpaired mu_(n+1), which carries no exponent, and its axis
-    # theta_1 runs over [0, pi] with no Jacobian cos
-    p = list(alphas) if D % 2 else [0, *alphas]
-    charts = _chart(npoints)
-    sums, after = [], p[n]  # after: the exponent sum of the positions past axis k
-    for k in range(n - 1, -1, -1):
-        full_range = D % 2 == 0 and k == 0
-        # sin carries the measure sin^(2n-1-2k) with the later positions'
-        # exponents and Jacobian factors
-        sums.append(_axis_sum(*charts[full_range], p[k] + (0 if full_range else 1),
-                              after + 2 * (n - k) - 1))
-        after += p[k]
+    axes, columns = _axes(D, npoints)
+    p = [(*alphas, 0)[c] for c in columns]  # the exponent at each chain position
+    sums, after = [], p[-1]  # after: the exponent sum of the positions past axis k
+    for (cos, sin, weight, a, b), pk in zip(axes[::-1], p[-2::-1]):
+        sums.append(_axis_sum(cos, sin, weight, pk + a, after + b))
+        after += pk
     return sums
 
 

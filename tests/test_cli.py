@@ -574,6 +574,18 @@ def test_exit_oracle_disagreement(tmp_path, capsys, monkeypatch):
     assert report["status"] == "disagree" and report["agreement_sigma"] is None
 
 
+def test_one_sample_check_has_an_unbounded_error(capsys):
+    # one Monte Carlo sample measures no spread, so it cannot refute pi^2:
+    # +- inf and sigma 0 in text, a null error in strict JSON
+    argv = ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--samples", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.endswith(" +- inf\nagreement sigma = 0\nstatus = ok\n")
+    code, report = run_json(argv, capsys)
+    assert code == 0
+    assert report["oracle_error"] is None and report["agreement_sigma"] == 0.0
+
+
 def test_exit_poly_quad_refused(tmp_path, capsys):
     f = tmp_path / "p.poly"
     f.write_text("1 2 0 0\n")
@@ -752,12 +764,13 @@ def test_missing_numpy_is_a_refusal_before_any_output():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     runs = {}
     for argv in (["volume", "--D", "4", "--verify"], ["sample", "--D", "2", "--count", "2"],
-                 ["sample", "--D", "2", "--count", "2", "--json"], ["volume", "--D", "4"],
-                 ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series"]):
+                 ["sample", "--D", "2", "--count", "2", "--json"],
+                 ["fluid", "--D", "3", "--omega", "0.3,0.4", "--verify", "--oracle", "quad"],
+                 ["volume", "--D", "4"], ["fluid", "--D", "3", "--omega", "0.3,0.4", "--series"]):
         r = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv], capture_output=True,
                            text=True, env={"PYTHONPATH": src})
         runs[" ".join(argv)] = (r.returncode, r.stdout, r.stderr)
-    for argv, (code, out, err) in list(runs.items())[:3]:
+    for argv, (code, out, err) in list(runs.items())[:4]:
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: --verify and sample need numpy") and err.count("\n") == 1
     assert runs["volume --D 4"] == (0, "8/3 * pi^2 = 26.3189450696\n", "")

@@ -101,6 +101,12 @@ def test_mc_constant_is_exact_volume():
         assert est.error == 0.0
 
 
+def test_mc_one_sample_has_an_unbounded_error():
+    # one sample measures no spread: its error is infinite, not 0
+    est = mc_integrate(3, lambda b: b.mus[:, 0] ** 2, MCConfig(seed=0, samples=1))
+    assert est.samples_or_nodes == 1 and est.error == math.inf
+
+
 def test_mc_determinism_bit_identical():
     cfg = MCConfig(seed=9001, samples=300_000)  # spans multiple chunks
     f = lambda b: b.mus[:, 0] ** 2 * np.abs(b.xs[:, -1])
