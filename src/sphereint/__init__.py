@@ -6,7 +6,8 @@ __version__ = "0.1.0"
 # the public names of each submodule.  PEP 562: a name's module is imported
 # on first access, so `import sphereint` loads no submodule and the exact
 # path never imports numpy.  dirichlet_abs_float, mu_power_float and
-# mu_power_values are second names with no caller in the package, public for bench/.
+# mu_power_values are second names with no caller in the package, public for
+# bench/ and for the acceptance tests (tests/test_acceptance.py, criteria 3, 4 and 7).
 _EXPORTS = {name: module for module, names in {
     "exactpi": "BudgetError DomainError PiRational gamma_half to_float",
     "integrals": "dirichlet_abs dirichlet_abs_float dirichlet_signed mu_power_float "

@@ -14,10 +14,9 @@ are accumulated in order.  Each chunk is drawn and evaluated in blocks of
 about 2**16 coordinates, which move no bit: only the chunk sets the sums.
 The same (seed, samples, integrand, D) therefore reproduces the estimate
 bit-for-bit on one platform.  The quadrature sums each theta_1 row of its
-grid with numpy's pairwise sum, a row wider than a tile from leaf tiles
-added along that same pairwise tree, and adds the row sums in the rule's
-node order, an order fixed by the grid alone, independent of the tile size
-and the BLAS thread count.
+grid along numpy's pairwise tree and the row sums in the rule's node order,
+an order fixed by the grid alone, independent of the tile size and the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ _CHUNK_VALUES = 1 << 21
 # call: 512 KB of doubles, about one L2, so the sampler's memory grows with
 # neither the sample count nor D
 _BLOCK_VALUES = 1 << 16
-# rows per quadrature tile, and sizes nothing else: a (2^14, 5) tile is 640 KB,
-# about one L2.  At least 128, numpy's pairwise-sum leaf, so a tile never cuts a leaf
+# nodes per quadrature tile and per leaf of the inner grid: a (2^14, 5) tile is
+# 640 KB, about one L2.  At least 128, numpy's pairwise-sum block, which no leaf cuts
 _TILE_ELEMS = 1 << 14
 
 
@@ -252,48 +251,48 @@ def _quad_tensor(D: int, f, npoints: int) -> float:
     # 2..n+1, which carry a sin(theta_1) factor, are a contiguous run
     cos_column, *scaled = _axes(D, npoints)[1]
     scaled = slice(scaled[0], scaled[-1] + 1)
-    # the inner grid, built in place one axis at a time: template row c
-    # holds chain position c + 2 without its sin(theta_1) factor, the last
-    # row the running sin product, and w_inner the weight product
-    grid = (npoints,) * (n - 1)
-    template = np.empty((n, inner_size))
-    sins = template[n - 1].reshape(grid)
-    sins.fill(1.0)
-    w_inner = np.ones(inner_size)
-    for j, (cos, sin, w) in enumerate(inner_axes):
-        axis = (npoints,) + (1,) * (n - 2 - j)  # broadcasts along inner axis j
-        np.multiply(sins, cos.reshape(axis), out=template[j].reshape(grid))
-        np.multiply(sins, sin.reshape(axis), out=sins)
-        np.multiply(w_inner.reshape(grid), w.reshape(axis), out=w_inner.reshape(grid))
-
-    # a tile is whole theta_1 rows of the grid, or one leaf of a row's
-    # pairwise sum; tbuf holds its mu columns, wbuf its weighted values
+    # a tile is whole theta_1 rows of one leaf of the inner grid; slab holds
+    # the leaf's template and weights, tbuf a tile's mu columns, wbuf its values
+    width = min(inner_size, _TILE_ELEMS)
     tile_rows = min(npoints, max(1, _TILE_ELEMS // inner_size))
-    wbuf = np.empty(tile_rows * min(inner_size, _TILE_ELEMS))
+    stride = npoints ** max(0, n - 2)  # inner nodes per node of inner axis 0
+    slab = np.empty((n + 1, width + 2 * stride))
+    wbuf = np.empty(tile_rows * width)
     tbuf = np.empty((n + 1) * wbuf.size)
-    row_sums = np.empty(npoints)
-    cos_layout = None  # (theta_1 rows, tile shape) whose cos(theta_1) column tbuf holds
 
-    def leaf_sum(rows: slice, a: int, b: int) -> np.ndarray:
-        nonlocal cos_layout
-        shape = (rows.stop - rows.start, b - a)
-        tile = tbuf[: (n + 1) * shape[0] * shape[1]].reshape(n + 1, *shape)
-        np.multiply(sin0[rows, None], template[:, None, a:b], out=tile[scaled])
-        if cos_layout != (rows, shape):  # a row's leaves of one width share it
+    def leaf_sums(a: int, b: int) -> np.ndarray:
+        # the inner grid on the axis-0 nodes that meet leaf [a, b), built axis
+        # by axis: template row c holds chain position c + 2 without its
+        # sin(theta_1), the last row the running sin product, w_inner the weights
+        lo, hi = a // stride, -(-b // stride)
+        grid = (hi - lo,) + (npoints,) * (n - 2)
+        nodes = slab[:, : (hi - lo) * stride]
+        nodes[n - 1 :] = 1.0
+        template, sins, w_inner = nodes[:n], nodes[n - 1].reshape(grid), nodes[n]
+        for j, (cos, sin, w) in enumerate(inner_axes):
+            part = slice(lo, hi) if j == 0 else slice(None)
+            axis = (-1,) + (1,) * (n - 2 - j)  # broadcasts along inner axis j
+            np.multiply(sins, cos[part].reshape(axis), out=template[j].reshape(grid))
+            np.multiply(sins, sin[part].reshape(axis), out=sins)
+            np.multiply(w_inner.reshape(grid), w[part].reshape(axis), out=w_inner.reshape(grid))
+        leaf = slice(a - lo * stride, b - lo * stride)
+        # every theta_1 row's sum over the leaf, tile by tile: numpy's pairwise
+        # sum, not a BLAS dot, whose order would follow the tile and the threads
+        sums = np.empty(npoints)
+        for i in range(0, npoints, tile_rows):
+            rows = slice(i, min(npoints, i + tile_rows))
+            shape = (rows.stop - rows.start, b - a)
+            tile = tbuf[: (n + 1) * shape[0] * shape[1]].reshape(n + 1, *shape)
+            np.multiply(sin0[rows, None], template[:, None, leaf], out=tile[scaled])
             np.copyto(tile[cos_column], cos0[rows, None])
-            cos_layout = (rows, shape)
-        mus = tile.reshape(n + 1, -1).T  # (M, n+1), each mu column contiguous
-        mus.flags.writeable = False
-        vals = _values(f, mus, mus).reshape(shape)
-        weighted = np.multiply(vals, w_inner[a:b], out=wbuf[: vals.size].reshape(shape))
-        return np.add.reduce(weighted, axis=1)
+            mus = tile.reshape(n + 1, -1).T  # (M, n+1), each mu column contiguous
+            mus.flags.writeable = False
+            vals = _values(f, mus, mus).reshape(shape)
+            weighted = np.multiply(vals, w_inner[leaf], out=wbuf[: vals.size].reshape(shape))
+            sums[rows] = np.add.reduce(weighted, axis=1)
+        return sums
 
-    for i in range(0, npoints, tile_rows):
-        rows = slice(i, min(npoints, i + tile_rows))
-        # numpy's pairwise sum of each row, not a BLAS dot: a row's sum
-        # depends on its values alone, whatever the tile size or the BLAS
-        # thread count
-        row_sums[rows] = _pairwise_sum(lambda a, b: leaf_sum(rows, a, b), inner_size, _TILE_ELEMS)
+    row_sums = _pairwise_sum(leaf_sums, inner_size, _TILE_ELEMS)
     # the row sums in the rule's node order: accumulate adds strictly left to right
     total = float(np.add.accumulate(w0 * row_sums)[-1])
     return (2.0 * math.pi) ** ((D + 1) // 2) * total
@@ -310,14 +309,15 @@ def quad_integrate(
     (Fortran order), and returns one float per row, each from its own row
     alone.  It is called once per tile of the grid, M <= 2^14 rows, and
     gets a read-only view of a buffer that the next tile overwrites, so an
-    f that keeps it must copy it.  The circle angles are
-    integrated analytically, leaving an n-dimensional tensor-product
-    Gauss-Legendre grid, which the cap on D keeps to at most four axes.
-    The estimate is the refined pass I(2N); error is |I(2N) - I(N)| plus a
-    roundoff floor, so a converged result never reports a zero bound.
-    Each pass sums its grid row by row along numpy's pairwise tree, in an
-    order set by the grid alone, so the bits do not depend on the tile size or the BLAS
-    thread count.
+    f that keeps it must copy it.  The circle angles are integrated
+    analytically, leaving an n-dimensional tensor-product Gauss-Legendre
+    grid, which the cap on D keeps to at most four axes.  The estimate is
+    the refined pass I(2N); error is |I(2N) - I(N)| plus a roundoff floor,
+    so a converged result never reports a zero bound.  A pass holds one
+    leaf of at most 2^14 inner nodes and one tile, about 2 MB at D = 9
+    whatever N, and sums each theta_1 row along numpy's pairwise tree in an
+    order set by the grid alone, so the bits do not depend on the tile size
+    or the BLAS thread count.
 
     Its argument limits are integrals._check_quad's, checked up front.
     """

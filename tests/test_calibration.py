@@ -1,8 +1,9 @@
 """Error-bar calibration: every reported error bound held against the truth.
 
 One seeded table per path that reports an error.  A row lands with the fix
-that makes its path's bound honest; the float kernel's, Monte Carlo's, the
-fluid series' and the product-rule quadrature's rows are here.
+that makes its path's bound honest; the float kernel's, Monte Carlo's (at
+10^4 samples and at the CLI's sample floor), the fluid series' and the
+product-rule quadrature's rows are here.
 """
 
 import math
@@ -14,7 +15,7 @@ import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphereint import integrals
+from sphereint import cli, integrals
 from sphereint.exactpi import to_float
 from sphereint.fluid import FluidParams, fluid_closed, fluid_series, gamma_power_values
 from sphereint.integrals import dirichlet_abs, mu_power_float, mu_power_integral
@@ -100,9 +101,9 @@ def _binomial_tail(n, p, k):
 _MC_MAX_PAST_3_SIGMA = 5
 
 
-def test_mc_error_is_calibrated():
+def _check_mc_row(samples):
     # truth: to_float of the exact kernel, or fluid_closed; case i runs seed i
-    # at 10^4 samples.  A constant integrand must hit the truth to rounding;
+    # at the given samples.  A constant integrand must hit the truth to rounding;
     # of the others, a standard error that is honest leaves about 0.27 % of
     # the cases past 3 sigma, so more than the fixed bound means it is short
     zs = []
@@ -116,7 +117,7 @@ def test_mc_error_is_calibrated():
         else:
             truth = to_float(dirichlet_abs(D, params))
             f = lambda b, a=params: monomial_values(b.xs, a, absolute=True)  # noqa: E731
-        est = mc_integrate(D, f, MCConfig(seed, 10_000))
+        est = mc_integrate(D, f, MCConfig(seed, samples))
         if not any(params):
             assert abs(est.value - truth) <= 1e-12 * truth, (kind, D, est, truth)
         else:
@@ -124,7 +125,18 @@ def test_mc_error_is_calibrated():
     past = sum(z > 3.0 for z in zs)
     assert _binomial_tail(len(zs), 0.0027, _MC_MAX_PAST_3_SIGMA) < 2e-4
     assert past <= _MC_MAX_PAST_3_SIGMA, (past, len(zs), sorted(zs)[-8:])
-    print(f"{len(zs)} MC cases, {past} past 3 sigma, largest |z| {max(zs):.3g}")
+    print(f"{len(zs)} MC cases at {samples} samples, {past} past 3 sigma, "
+          f"largest |z| {max(zs):.3g}")
+
+
+def test_mc_error_is_calibrated():
+    _check_mc_row(10_000)
+
+
+def test_mc_error_is_calibrated_at_the_cli_sample_floor():
+    # --verify refuses fewer samples than the floor, where the bars run short:
+    # 123 of these 296 cases land past 3 sigma at 2 samples, 7 at 100
+    _check_mc_row(cli._MIN_MC_SAMPLES)
 
 
 @st.composite

@@ -574,16 +574,38 @@ def test_exit_oracle_disagreement(tmp_path, capsys, monkeypatch):
     assert report["status"] == "disagree" and report["agreement_sigma"] is None
 
 
-def test_one_sample_check_has_an_unbounded_error(capsys):
-    # one Monte Carlo sample measures no spread, so it cannot refute pi^2:
-    # +- inf and sigma 0 in text, a null error in strict JSON
-    argv = ["mu-power", "--D", "3", "--alpha", "2,0", "--verify", "--samples", "1"]
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert out.endswith(" +- inf\nagreement sigma = 0\nstatus = ok\n")
-    code, report = run_json(argv, capsys)
-    assert code == 0
-    assert report["oracle_error"] is None and report["agreement_sigma"] == 0.0
+def test_verify_refuses_samples_below_the_mc_floor(tmp_path, capsys, monkeypatch):
+    # a few samples give a standard error too noisy for a verdict (at 2, a
+    # correct pi^2 disagreed for 27 of 100 seeds), so every Monte Carlo check
+    # refuses them with exit 1 before sampling; quadrature ignores --samples
+    from sphereint import cli, oracle
+
+    seen = []
+
+    def stub(D, f, config):
+        seen.append(config.samples)
+        return oracle.OracleEstimate(value=1.0, error=1.0, samples_or_nodes=config.samples)
+
+    monkeypatch.setattr(oracle, "mc_integrate", stub)
+    f = tmp_path / "p.poly"
+    f.write_text("1 2 0 0\n")
+    below = str(cli._MIN_MC_SAMPLES - 1)
+    for argv in (["volume", "--D", "4"], ["dirichlet", "--n", "2", "--alpha", "2,0,0", "--abs"],
+                 ["mu-power", "--D", "3", "--alpha", "2,0"], ["fluid", "--D", "2", "--omega", "0.6"],
+                 ["integrate-poly", "--n", "2", "--file", str(f)]):
+        for samples in ("1", below):
+            for extra in ([], ["--json"]):
+                assert run([*argv, "--verify", "--samples", samples, *extra], capsys) == (
+                    1, "", f"error: --samples {samples} is below the Monte Carlo floor of "
+                    f"{cli._MIN_MC_SAMPLES}: fewer samples give no honest error bar\n")
+    assert seen == []
+    # the floor itself samples (the stub's 1.0 is not V_4)
+    code, _, err = run(["volume", "--D", "4", "--verify", "--samples", str(cli._MIN_MC_SAMPLES)],
+                       capsys)
+    assert (code, err, seen) == (3, "", [cli._MIN_MC_SAMPLES])
+    code, _, err = run(["volume", "--D", "4", "--verify", "--oracle", "quad", "--samples", "1"],
+                       capsys)
+    assert (code, err) == (0, "")
 
 
 def test_exit_poly_quad_refused(tmp_path, capsys):

@@ -346,9 +346,16 @@ def test_quad_cross_checks_mc():
         # 34^3 rows in three uneven ones
         ("mu", 9, (2, 0, 1, 1, 0), 16, "0x1.55d3c7e3cc048p-1", "0x1.b10894e2ed654p-15"),
         ("fluid", 8, (0.3, 0.2, 0.4, 0.1), 17, "0x1.46e7f776d346ep+5", "0x1.1e49aea6aa866p-5"),
+        # the 2^24-node budget: each refined theta_1 row is 64^3 nodes, summed
+        # from 16 leaves
+        ("mu", 9, (2, 0, 1, 1, 0), 32, "0x1.55d3c7e3cbff2p-1", "0x1.57aca8745ebedp-44"),
+        ("mu", 8, (2, 0, 1, 1), 32, "0x1.e254a1c03f0fep-1", "0x1.bcea574331a84p-28"),
+        ("fluid", 9, (0.3, 0.2, 0.4, 0.1, 0.5), 32, "0x1.766de176b977ap+5",
+         "0x1.4f59f712fb20fp-38"),
     ],
     # ids without the pinned bits, so a deliberate re-capture keeps the names
-    ids=["fluid-D5-N17", "fluid-D7-N17", "mu-D8-N8", "mu-D9-N16", "fluid-D8-N17"],
+    ids=["fluid-D5-N17", "fluid-D7-N17", "mu-D8-N8", "mu-D9-N16", "fluid-D8-N17",
+         "mu-D9-N32", "mu-D8-N32", "fluid-D9-N32"],
 )
 def test_quad_frozen_bits(kind, D, params, nodes, value, error):
     if kind == "fluid":
@@ -550,19 +557,23 @@ def test_sample_batch_is_chunk_independent():
 
 
 def test_quad_grid_memory_stays_bounded():
-    # the D = 9, N = 32 refined grid holds 2^24 nodes; it is built tile by
-    # tile, never whole.  What stays is the (4, 64^3) inner template (8.4
-    # MB), the inner weights w_inner (2.1 MB), one 2^14-node leaf tile of
-    # radii (655 KB) and its weighted values (131 KB).  No theta_1 row of
-    # values is kept: a row is summed leaf by leaf
+    # the D = 9, N = 32 refined grid holds 2^24 nodes, and no array grows
+    # with its 64^3 inner nodes: a pass holds one 2^14-node leaf of the
+    # inner template and weights, widened to whole axis-0 nodes (5 x 24,576
+    # doubles, 983 KB), one tile of radii (655 KB) and its weighted values
+    # (131 KB).  The whole template would be 10.5 MB.  So N = 32 needs less
+    # than one more tile than N = 16, whose inner grid is 32^3
     alphas = (2, 0, 1, 1, 0)
-    tracemalloc.start()
-    try:
-        quad_integrate(9, lambda mus: mu_power_values(mus, alphas), nodes_per_axis=32)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14_000_000
+    peaks = {}
+    for nodes in (16, 32):
+        tracemalloc.start()
+        try:
+            quad_integrate(9, lambda mus: mu_power_values(mus, alphas), nodes_per_axis=nodes)
+            peaks[nodes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] <= 3_000_000
+    assert peaks[32] - peaks[16] < 5 * _TILE_ELEMS * 8  # one (2^14, 5) tile of radii
 
 
 def test_quad_nodes_stay_on_their_axis():
